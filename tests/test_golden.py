@@ -1,0 +1,35 @@
+"""Byte-for-byte pins of the CLI's behaviour contract for ``expand``.
+
+Each case under ``tests/golden/`` is an input ``<stem>.dg`` with the
+result dg and the ``--trace`` JSON that ``splitclosure expand`` must
+write for it.  ``twoclasps`` is the running example (one rule A split,
+one rule B split); ``layered-0`` is a 135-vertex three-layer DAG plus
+three five-vertex classes whose expansion uses rule B, with 49 splits.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from splitclosure.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("stem", ["twoclasps", "layered-0"])
+def test_expand_output_is_pinned(stem, tmp_path):
+    result, trace = tmp_path / "result.dg", tmp_path / "trace.json"
+    code = main(["expand", str(GOLDEN / f"{stem}.dg"), "-o", str(result), "--trace", str(trace)])
+    assert code == 0
+    assert result.read_bytes() == (GOLDEN / f"{stem}.result.dg").read_bytes()
+    assert trace.read_bytes() == (GOLDEN / f"{stem}.trace.json").read_bytes()
+
+
+def test_pins_cover_both_rules():
+    for stem in ("twoclasps", "layered-0"):
+        payload = json.loads((GOLDEN / f"{stem}.trace.json").read_text(encoding="utf-8"))
+        kinds = {record["construction"] for record in payload["iterations"]}
+        assert kinds == {"A", "B"}
