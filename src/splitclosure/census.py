@@ -494,13 +494,7 @@ def _replay_step_maps(outcome: ExpansionOutcome) -> list[CompressionMap]:
     maps = []
     graph = outcome.mapping.target
     for record in outcome.trace:
-        arrows = set(graph.arrows)
-        arrows.difference_update(record.removed)
-        arrows.update(record.added)
-        arrows.add((record.new_vertex, record.new_vertex))
-        expanded = DiGraph(
-            graph.vertices + (record.new_vertex,), arrows, name=graph.name
-        )
+        expanded = record.apply(graph)
         assignment = {v: v for v in graph.vertices}
         assignment[record.new_vertex] = record.clasp
         maps.append(CompressionMap(expanded, graph, assignment))

@@ -1,18 +1,37 @@
 """Iterated clasp splitting: expand a stable graph until it is preordered.
 
 Each iteration fixes the least clasp x (in vertex order), computes its
-context sets, splits x by one of two rewiring rules, and records a
-compression map from the new graph back onto the old one.  No non-loop
-arrow is ever added: the rewiring moves arrows onto the fresh vertex, so
-the non-loop arrow count is invariant and only vertices accumulate.  The
-run stops at the first preordered graph and returns the composite map,
-which witnesses the input as a compression of the result.
+context sets, splits x by one of two rewiring rules into x and a fresh
+vertex t, and records what moved.  No non-loop arrow is ever added: the
+rewiring moves arrows onto t, so the non-loop arrow count is invariant and
+only vertices accumulate.  The run stops at the first preordered graph and
+returns the composite map, which witnesses the input as a compression of
+the result.
 
 Both rewiring rules presuppose a stable graph whose clasps are all
 unlocked; a locked clasp is a hard obstruction, reported as an error
-before anything is touched.  Stability and unlocked-ness are re-checked
-after every iteration, converting the supporting theorems into runtime
-assertions (cheap at the sizes this package targets).
+before anything is touched.  The theorems that keep the graph stable and
+free of locked clasps are also asserted at run time.  The loop splits in
+place on mutable bit rows and, after each split, re-checks only what the
+split can change:
+
+- the step map (t to x, every other vertex fixed): arrows at x or t must
+  map onto the old arrows at x one-to-one, with no loop lost, and every
+  transitive triple of the old graph through x must lift;
+- stability: every balance and stability quadruple with x or t in some
+  slot;
+- clasps and locks: the clasp and lock status of x, t and their
+  neighbours, which also keeps the set of clasps up to date.
+
+These local checks are exact, not sampled.  A split moves only arrows at
+x and t, so any triple, quadruple or lock pattern that avoids both is the
+same as in the previous graph, and that graph was stable and free of
+locked clasps: the full precondition check establishes this on entry, and
+the local checks carry it from split to split.  Any failure raises
+InternalInvariantBreached.  The result graph and the composite map are
+built once, at the end, and checked in full once per run: the result must
+be preordered, the composite map must verify as a compression, and the
+non-loop arrow count must equal the input's.
 """
 
 from __future__ import annotations
@@ -20,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .compression import CompressionMap, compose, identity_map, verify_compression
+from .compression import CompressionMap, verify_compression
 from .digraph import DiGraph, bits, emit_digraph
 from .errors import (
     InternalInvariantBreached,
@@ -31,10 +50,12 @@ from .errors import (
 )
 from .predicates import (
     _clasp_witness,
+    _lock_witness,
     _require_reflexive,
+    _stable_witness_at,
+    clasps,
     is_preordered,
     is_stable,
-    locked_status,
 )
 
 
@@ -81,6 +102,15 @@ class IterationRecord:
     removed: tuple[tuple[str, str], ...]
     added: tuple[tuple[str, str], ...]
     new_vertex: str
+
+    def apply(self, graph: DiGraph) -> DiGraph:
+        """The graph this split turns ``graph`` into: the new vertex comes
+        last, with a loop, and the removed arrows give way to the added."""
+        arrows = set(graph.arrows)
+        arrows.difference_update(self.removed)
+        arrows.update(self.added)
+        arrows.add((self.new_vertex, self.new_vertex))
+        return DiGraph(graph.vertices + (self.new_vertex,), arrows, name=graph.name)
 
     def to_json(self) -> dict:
         record: dict = {
@@ -129,6 +159,12 @@ class ExpansionOutcome:
 def clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
     """Compute the witness heads and triple tails for a clasp."""
     _require_reflexive(graph)
+    return _clasp_context(graph, vertex)
+
+
+def _clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
+    # no reflexivity scan: it costs O(n) per split, and the split loop
+    # checks the loops at x and t itself
     i = graph.index(vertex)
     rows = graph._rows
     cols = graph._cols
@@ -159,7 +195,6 @@ def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> Const
     Witnesses are chosen deterministically: least pivot head in vertex
     order, then least kept tail, then least detour tail.
     """
-    i = graph.index(vertex)
     cols = graph._cols
     tail_mask = 0
     for a in ctx.triple_tails:
@@ -179,25 +214,21 @@ def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> Const
     return ConstructionChoice("A")
 
 
-def _rebuild(graph: DiGraph, removed, added, new_vertex) -> DiGraph:
-    arrows = set(graph.arrows)
-    arrows.difference_update(removed)
-    arrows.update(added)
-    arrows.add((new_vertex, new_vertex))
-    return DiGraph(graph.vertices + (new_vertex,), arrows, name=graph.name)
-
-
 def construction_a(
     graph: DiGraph,
     vertex: str,
     ctx: ClaspContext,
+    choice: ConstructionChoice,
     new_vertex: str,
     index: int = 1,
-) -> tuple[DiGraph, IterationRecord]:
+) -> IterationRecord:
     """Rule A: move every triple tail's arrow into the clasp, and the
     clasp's arrows onto every successor reachable through a witness head,
-    over to the fresh vertex."""
-    choice = select_construction(graph, vertex, ctx)
+    over to the fresh vertex.
+
+    ``ctx`` and ``choice`` are the clasp's context and the rule selected
+    for it; apply the returned record to get the split graph.
+    """
     if choice.kind != "A":
         raise PreconditionViolated("rule B witnesses exist; rule A does not apply")
     i = graph.index(vertex)
@@ -221,23 +252,29 @@ def construction_a(
     )
     if head_mask & ~moved:
         raise InternalInvariantBreached("witness heads escaped the moved set")
-    record = IterationRecord(
+    return IterationRecord(
         index, vertex, ctx, choice, moved_heads, None, removed, added, new_vertex
     )
-    return _rebuild(graph, removed, added, new_vertex), record
 
 
 def construction_b(
     graph: DiGraph,
     vertex: str,
-    pivot_head: str,
+    ctx: ClaspContext,
+    choice: ConstructionChoice,
     new_vertex: str,
     index: int = 1,
-) -> tuple[DiGraph, IterationRecord]:
+) -> IterationRecord:
     """Rule B: detour every transitive triple (c, vertex, z) whose tail c
-    misses the chord to the pivot head through the fresh vertex."""
-    ctx = clasp_context(graph, vertex)
-    if pivot_head not in ctx.witness_heads:
+    misses the chord to the pivot head through the fresh vertex.
+
+    ``ctx`` is the clasp's context and ``choice`` a rule B choice whose
+    pivot head is one of its witness heads (not necessarily the one
+    ``select_construction`` picks); apply the returned record to get the
+    split graph.
+    """
+    pivot_head = choice.pivot_head
+    if choice.kind != "B" or pivot_head not in ctx.witness_heads:
         raise PreconditionViolated(f"{pivot_head} is not a witness head of {vertex}")
     i = graph.index(vertex)
     rows = graph._rows
@@ -247,19 +284,20 @@ def construction_b(
     tail_mask = 0
     for a in ctx.triple_tails:
         tail_mask |= 1 << graph.index(a)
-    if not (tail_mask & cols[y]) or not (tail_mask & ~cols[y]):
+    kept = tail_mask & cols[y]
+    detour = tail_mask & ~cols[y]
+    if not kept or not detour:
         raise PreconditionViolated(
             f"rule B does not apply at {vertex} with pivot head {pivot_head}"
         )
-    choice = select_construction(graph, vertex, ctx)
-    if choice.pivot_head != pivot_head:
-        detour = tail_mask & ~cols[y]
-        kept = tail_mask & cols[y]
-        choice = ConstructionChoice(
-            "B",
-            detour_tail=labels[(detour & -detour).bit_length() - 1],
-            kept_tail=labels[(kept & -kept).bit_length() - 1],
-            pivot_head=pivot_head,
+    if not (
+        choice.kept_tail in ctx.triple_tails
+        and choice.detour_tail in ctx.triple_tails
+        and (kept >> graph.index(choice.kept_tail)) & 1
+        and (detour >> graph.index(choice.detour_tail)) & 1
+    ):
+        raise PreconditionViolated(
+            f"rule B witnesses do not fit pivot head {pivot_head} at {vertex}"
         )
     ibit = 1 << i
     pairs = []
@@ -274,10 +312,9 @@ def construction_b(
     added = tuple((c, new_vertex) for c in tails) + tuple(
         (new_vertex, z) for z in heads
     )
-    record = IterationRecord(
+    return IterationRecord(
         index, vertex, ctx, choice, None, tuple(pairs), removed, added, new_vertex
     )
-    return _rebuild(graph, removed, added, new_vertex), record
 
 
 def fresh_vertex(graph: DiGraph, start: int = 1) -> tuple[str, int]:
@@ -288,64 +325,181 @@ def fresh_vertex(graph: DiGraph, start: int = 1) -> tuple[str, int]:
     return f"t{k}", k + 1
 
 
-def _check_preconditions(graph: DiGraph) -> None:
-    _require_reflexive(graph)
+def _check_preconditions(graph: DiGraph, vertex: Optional[str] = None) -> int:
+    """Raise unless ``graph`` is stable with every clasp unlocked and, when
+    given, ``vertex`` is a clasp; return the bitmask of the clasps."""
     stable, witness = is_stable(graph)
     if not stable:
         raise NotStable(witness)
-    for i, v in enumerate(graph.vertices):
-        if _clasp_witness(graph, i) is not None:
-            status = locked_status(graph, v)
-            if status.kind == "locked":
-                raise LockedClasp(v, status.witness)
+    records = clasps(graph)
+    if vertex is not None:
+        graph.index(vertex)  # UnknownVertex before NotAClasp
+        chosen = [r for r in records if r.vertex == vertex]
+        if not chosen:
+            raise NotAClasp(vertex)
+        if chosen[0].locked:
+            raise LockedClasp(vertex, chosen[0].lock_witness)
+    mask = 0
+    for record in records:
+        if record.locked:
+            raise LockedClasp(record.vertex, record.lock_witness)
+        mask |= 1 << graph.index(record.vertex)
+    return mask
 
 
-def _step(
-    graph: DiGraph, vertex: str, index: int, new_vertex: str
-) -> tuple[DiGraph, CompressionMap, IterationRecord]:
-    """One split plus its verified step map; preconditions assumed."""
-    ctx = clasp_context(graph, vertex)
-    choice = select_construction(graph, vertex, ctx)
-    if choice.kind == "A":
-        expanded, record = construction_a(graph, vertex, ctx, new_vertex, index)
-    else:
-        assert choice.pivot_head is not None
-        expanded, record = construction_b(
-            graph, vertex, choice.pivot_head, new_vertex, index
-        )
-    if len(record.removed) != len(record.added):
-        raise InternalInvariantBreached("removed and added arrow counts differ")
-    assignment = {v: v for v in graph.vertices}
-    assignment[new_vertex] = vertex
-    step_map = CompressionMap(expanded, graph, assignment)
-    verdict = verify_compression(step_map)
-    if not verdict.valid:
-        raise InternalInvariantBreached(f"step map invalid: {verdict.describe()}")
-    stable, witness = is_stable(expanded)
-    if not stable:
-        raise InternalInvariantBreached(f"split produced an unstable graph: {witness}")
-    for i, v in enumerate(expanded.vertices):
-        if _clasp_witness(expanded, i) is not None:
-            if locked_status(expanded, v).kind == "locked":
-                raise InternalInvariantBreached(f"split produced a locked clasp at {v}")
-    return expanded, step_map, record
+def _check_step_map(state: _SplitState, x: int, t: int, old_row: int, old_col: int) -> None:
+    """Verify the step map t -> x, every other vertex fixed, where the split
+    of ``x`` into ``t`` can break it; ``old_row`` and ``old_col`` are x's
+    rows before the split.
+
+    Arrows that avoid x and t map to themselves, and a transitive triple
+    of the old graph that avoids x lifts to itself, so only arrows at x or
+    t and triples through x need a look.
+    """
+    rows, cols = state._rows, state._cols
+    xbit, tbit = 1 << x, 1 << t
+
+    def image(mask: int) -> int:
+        return (mask | xbit) & ~tbit if mask & tbit else mask
+
+    label = state.vertices[x]
+    if rows[x] & tbit or rows[t] & xbit:
+        raise InternalInvariantBreached(f"step map at {label}: an arrow collapses to a loop")
+    if (rows[x] & rows[t] | cols[x] & cols[t]) & ~(xbit | tbit):
+        raise InternalInvariantBreached(f"step map at {label}: two arrows share an image")
+    if not (rows[x] & xbit and rows[t] & tbit):
+        raise InternalInvariantBreached(f"step map at {label}: a loop is missing")
+    # conditions 1 and 3 at x: the arrows at x and t map exactly onto the
+    # old arrows at x
+    if image(rows[x] | rows[t]) != old_row or image(cols[x] | cols[t]) != old_col:
+        raise InternalInvariantBreached(f"step map at {label}: arrows at the clasp not preserved")
+
+    def old_out(u: int) -> int:
+        if u == x:
+            return old_row
+        row = rows[u] & ~xbit & ~tbit
+        return row | xbit if (old_col >> u) & 1 else row
+
+    def lifts(a: int, b: int, c: int) -> bool:
+        for p in (x, t) if a == x else (a,):
+            for q in (x, t) if b == x else (b,):
+                if not (rows[p] >> q) & 1:
+                    continue
+                for r in (x, t) if c == x else (c,):
+                    if (rows[q] >> r) & 1 and (rows[p] >> r) & 1:
+                        return True
+        return False
+
+    triples = []
+    for b in bits(old_row):  # (x, b, c)
+        triples.extend((x, b, c) for c in bits(old_row & old_out(b)))
+    for a in bits(old_col):
+        row_a = old_out(a)
+        triples.extend((a, x, c) for c in bits(old_row & row_a))  # (a, x, c)
+        triples.extend((a, b, x) for b in bits(row_a & old_col))  # (a, b, x)
+    for a, b, c in triples:
+        if not lifts(a, b, c):
+            names = ", ".join(state.vertices[v] for v in (a, b, c))
+            raise InternalInvariantBreached(f"step map at {label}: triple ({names}) has no lift")
+
+
+class _SplitState:
+    """The graph under expansion as mutable bit rows, split in place.
+
+    Offers the read interface of ``DiGraph`` that the rule functions use
+    (``vertices``, ``_rows``, ``_cols``, ``index``, ``in``), so they run on
+    it unchanged.  ``parent[i]`` is the vertex that vertex i was split from
+    (i itself for an input vertex); ``clasp_mask`` has a bit per clasp.
+    """
+
+    def __init__(self, graph: DiGraph, clasp_mask: int):
+        self.source = graph
+        self.vertices = list(graph.vertices)
+        self._index = dict(graph._index)
+        self._rows = list(graph._rows)
+        self._cols = list(graph._cols)
+        self.parent = list(range(len(self.vertices)))
+        self.clasp_mask = clasp_mask
+        self._next_name = 1
+
+    index = DiGraph.index
+    __contains__ = DiGraph.__contains__
+
+    def split(self, x: int, index: int) -> IterationRecord:
+        """Split clasp ``x`` into a fresh vertex, then re-check locally."""
+        vertex = self.vertices[x]
+        new_vertex, self._next_name = fresh_vertex(self, self._next_name)
+        ctx = _clasp_context(self, vertex)
+        choice = select_construction(self, vertex, ctx)
+        rule = construction_a if choice.kind == "A" else construction_b
+        record = rule(self, vertex, ctx, choice, new_vertex, index)
+        if len(record.removed) != len(record.added):
+            raise InternalInvariantBreached("removed and added arrow counts differ")
+        # the local checks below are exact only if nothing else moved
+        if any(vertex not in arrow for arrow in record.removed) or any(
+            new_vertex not in arrow for arrow in record.added
+        ):
+            raise InternalInvariantBreached(f"split of {vertex} moved an arrow elsewhere")
+        rows, cols = self._rows, self._cols
+        old_row, old_col = rows[x], cols[x]
+        t = len(self.vertices)
+        self.vertices.append(new_vertex)
+        self._index[new_vertex] = t
+        rows.append(1 << t)
+        cols.append(1 << t)
+        self.parent.append(x)
+        at = self._index
+        for u, v in record.removed:
+            rows[at[u]] &= ~(1 << at[v])
+            cols[at[v]] &= ~(1 << at[u])
+        for u, v in record.added:
+            rows[at[u]] |= 1 << at[v]
+            cols[at[v]] |= 1 << at[u]
+        _check_step_map(self, x, t, old_row, old_col)
+        for p in (x, t):
+            witness = _stable_witness_at(self, p)
+            if witness is not None:
+                raise InternalInvariantBreached(f"split produced an unstable graph: {witness}")
+        # a vertex's clasp and lock status reads only arrows at it and its
+        # neighbours, so only x, t and their old or new neighbours can change
+        for v in bits(old_row | old_col | rows[x] | cols[x] | rows[t] | cols[t]):
+            if _clasp_witness(self, v) is None:
+                self.clasp_mask &= ~(1 << v)
+            elif _lock_witness(self, v) is not None:
+                raise InternalInvariantBreached(
+                    f"split produced a locked clasp at {self.vertices[v]}"
+                )
+            else:
+                self.clasp_mask |= 1 << v
+        return record
+
+    def graph(self) -> DiGraph:
+        """The current graph; the input graph itself when nothing was split."""
+        if len(self.vertices) == len(self.source.vertices):
+            return self.source
+        labels = self.vertices
+        arrows = [(labels[i], labels[j]) for i, row in enumerate(self._rows) for j in bits(row)]
+        return DiGraph(labels, arrows, name=self.source.name)
+
+    def mapping(self, result: DiGraph) -> CompressionMap:
+        """The composite map from ``result`` onto the input graph."""
+        root = []
+        for i, p in enumerate(self.parent):
+            root.append(i if p == i else root[p])
+        labels = self.vertices
+        assignment = {v: labels[r] for v, r in zip(labels, root)}
+        return CompressionMap(result, self.source, assignment)
 
 
 def expand_once(
     graph: DiGraph, vertex: str, index: int = 1
 ) -> tuple[DiGraph, CompressionMap, IterationRecord]:
-    """Run one iteration at the given unlocked clasp of a stable graph."""
-    _require_reflexive(graph)
-    stable, witness = is_stable(graph)
-    if not stable:
-        raise NotStable(witness)
-    status = locked_status(graph, vertex)
-    if status.kind == "not-a-clasp":
-        raise NotAClasp(vertex)
-    if status.kind == "locked":
-        raise LockedClasp(vertex, status.witness)
-    name, _ = fresh_vertex(graph)
-    return _step(graph, vertex, index, name)
+    """Run one iteration at the given clasp of a stable graph whose clasps
+    are all unlocked; the split is checked as in ``expand_to_preorder``."""
+    state = _SplitState(graph, _check_preconditions(graph, vertex))
+    record = state.split(graph.index(vertex), index)
+    expanded = state.graph()
+    return expanded, state.mapping(expanded), record
 
 
 def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:
@@ -357,31 +511,23 @@ def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:
     vertex count cannot grow past that bound.  Exceeding the cap, or any
     failed re-check along the way, raises InternalInvariantBreached.
     """
-    _check_preconditions(graph)
+    state = _SplitState(graph, _check_preconditions(graph))
     cap = len(graph.vertices) + 2 * len(graph.non_loop_arrows())
-    current = graph
-    composite = identity_map(graph)
     trace: list[IterationRecord] = []
-    next_index = 1
-    while not is_preordered(current):
+    while state.clasp_mask:
         if len(trace) >= cap:
             raise InternalInvariantBreached(
                 f"expansion did not stop within {cap} iterations"
             )
-        clasp = None
-        for i, v in enumerate(current.vertices):
-            if _clasp_witness(current, i) is not None:
-                clasp = v
-                break
-        if clasp is None:
-            raise InternalInvariantBreached("graph is not preordered yet has no clasp")
-        name, next_index = fresh_vertex(current, next_index)
-        current, step_map, record = _step(current, clasp, len(trace) + 1, name)
-        composite = compose(composite, step_map)
-        trace.append(record)
+        least = state.clasp_mask & -state.clasp_mask
+        trace.append(state.split(least.bit_length() - 1, len(trace) + 1))
+    result = state.graph()
+    if not is_preordered(result):
+        raise InternalInvariantBreached("graph is not preordered yet has no clasp")
+    composite = state.mapping(result)
     verdict = verify_compression(composite)
     if not verdict.valid:
         raise InternalInvariantBreached(f"composite map invalid: {verdict.describe()}")
-    if len(current.non_loop_arrows()) != len(graph.non_loop_arrows()):
+    if len(result.non_loop_arrows()) != len(graph.non_loop_arrows()):
         raise InternalInvariantBreached("non-loop arrow count changed")
-    return ExpansionOutcome(current, composite, tuple(trace))
+    return ExpansionOutcome(result, composite, tuple(trace))

@@ -126,6 +126,65 @@ def is_stable(graph: DiGraph) -> tuple[bool, Optional[StableWitness]]:
     return True, None
 
 
+def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:
+    """A balance or stability witness with vertex ``p`` in some slot, or None.
+
+    Assumes a reflexive graph.  Each slot is enumerated outward from p's
+    own row and column, so the cost depends on p's neighbourhood, not on
+    the size of the graph.
+    """
+    rows = graph._rows
+    cols = graph._cols
+    rp, cp = rows[p], cols[p]
+
+    def found(kind, *quad):
+        return StableWitness(kind, tuple(graph.vertices[q] for q in quad))
+
+    # balance: wx, xy, yz, wz arrows force the chords wy and xz to agree
+    for x in bits(rp):  # w = p
+        for y in bits(rows[x]):
+            for z in bits(rows[y] & rp):
+                if (rows[x] >> z) & 1 != (rp >> y) & 1:
+                    return found("balance", p, x, y, z)
+    for w in bits(cp):  # x = p
+        for y in bits(rp):
+            for z in bits(rows[y] & rows[w]):
+                if (rp >> z) & 1 != (rows[w] >> y) & 1:
+                    return found("balance", w, p, y, z)
+    for x in bits(cp):  # y = p
+        for z in bits(rp):
+            for w in bits(cols[x] & cols[z]):
+                if (rows[x] >> z) & 1 != (rows[w] >> p) & 1:
+                    return found("balance", w, x, p, z)
+    for y in bits(cp):  # z = p
+        for x in bits(cols[y]):
+            for w in bits(cols[x] & cp):
+                if (rows[x] >> p) & 1 != (rows[w] >> y) & 1:
+                    return found("balance", w, x, y, p)
+
+    # stability: distinct a, b, c, d with ab, ac, bc, bd, cd force ad; a
+    # mask of "a's row missing" already excludes a and every vertex a
+    # points at, which is how distinctness is kept below
+    pbit = 1 << p
+    for b in bits(rp & ~pbit):  # a = p
+        for c in bits(rp & rows[b] & ~pbit & ~(1 << b)):
+            for d in bits(rows[b] & rows[c] & ~rp):
+                return found("stability", p, b, c, d)
+    for a in bits(cp & ~pbit):  # b = p
+        for c in bits(rows[a] & rp & ~(1 << a) & ~pbit):
+            for d in bits(rp & rows[c] & ~rows[a]):
+                return found("stability", a, p, c, d)
+    for a in bits(cp & ~pbit):  # c = p
+        for b in bits(rows[a] & cp & ~(1 << a) & ~pbit):
+            for d in bits(rows[b] & rp & ~rows[a]):
+                return found("stability", a, b, p, d)
+    for b in bits(cp & ~pbit):  # d = p
+        for c in bits(cp & rows[b] & ~(1 << b) & ~pbit):
+            for a in bits(cols[b] & cols[c] & ~cp):
+                return found("stability", a, b, c, p)
+    return None
+
+
 class LockWitness(NamedTuple):
     u: str
     v: str
@@ -170,6 +229,24 @@ def _clasp_witness(graph: DiGraph, i: int) -> Optional[tuple[str, str]]:
     return None
 
 
+def _lock_witness(graph: DiGraph, i: int) -> Optional[LockWitness]:
+    """Least lock witness at vertex ``i`` of a reflexive graph, or None."""
+    rows = graph._rows
+    cols = graph._cols
+    labels = graph.vertices
+    ibit = 1 << i
+    ins = cols[i] & ~ibit
+    outs = rows[i] & ~ibit
+    for u in bits(ins):
+        heads = outs & rows[u]  # y or v candidates: (u, x, *) is a transitive triple
+        for v in bits(heads):
+            for w in bits(ins & cols[v]):
+                broken = heads & ~rows[w]
+                for y in bits(broken):
+                    return LockWitness(labels[u], labels[v], labels[w], labels[y])
+    return None
+
+
 def locked_status(graph: DiGraph, x: str) -> LockStatus:
     """Classify ``x``: not a clasp, an unlocked clasp, or locked.
 
@@ -179,27 +256,12 @@ def locked_status(graph: DiGraph, x: str) -> LockStatus:
     """
     _require_reflexive(graph)
     i = graph.index(x)
-    rows = graph._rows
-    labels = graph.vertices
-    ibit = 1 << i
-    ins = graph._cols[i] & ~ibit
-    outs = rows[i] & ~ibit
     if _clasp_witness(graph, i) is None:
         return LockStatus("not-a-clasp", None)
-    for u in bits(ins):
-        ru = rows[u]
-        heads = outs & ru  # y or v candidates: (u, x, *) is a transitive triple
-        if not heads:
-            continue
-        for v in bits(heads):
-            for w in bits(ins & graph._cols[v]):
-                broken = heads & ~rows[w]
-                for y in bits(broken):
-                    return LockStatus(
-                        "locked",
-                        LockWitness(labels[u], labels[v], labels[w], labels[y]),
-                    )
-    return LockStatus("unlocked", None)
+    witness = _lock_witness(graph, i)
+    if witness is None:
+        return LockStatus("unlocked", None)
+    return LockStatus("locked", witness)
 
 
 def clasps(graph: DiGraph) -> tuple[ClaspRecord, ...]:
@@ -210,10 +272,8 @@ def clasps(graph: DiGraph) -> tuple[ClaspRecord, ...]:
         witness = _clasp_witness(graph, i)
         if witness is None:
             continue
-        status = locked_status(graph, v)
-        records.append(
-            ClaspRecord(v, witness, status.kind == "locked", status.witness)
-        )
+        lock = _lock_witness(graph, i)
+        records.append(ClaspRecord(v, witness, lock is not None, lock))
     return tuple(records)
 
 

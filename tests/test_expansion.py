@@ -4,6 +4,8 @@ import pytest
 
 from conftest import assert_valid_trace_json, reflexive
 from splitclosure import (
+    ConstructionChoice,
+    InternalInvariantBreached,
     LockedClasp,
     NotAClasp,
     NotReflexive,
@@ -72,7 +74,9 @@ class TestSelect:
 class TestConstructionA:
     def test_running_example(self, two_clasps):
         ctx = clasp_context(two_clasps, "2")
-        graph, record = construction_a(two_clasps, "2", ctx, "t1")
+        choice = select_construction(two_clasps, "2", ctx)
+        record = construction_a(two_clasps, "2", ctx, choice, "t1")
+        graph = record.apply(two_clasps)
         assert record.moved_heads == ("4", "6")
         assert set(record.removed) == {("2", "4"), ("2", "6")}
         assert set(record.added) == {("t1", "4"), ("t1", "6")}
@@ -81,21 +85,24 @@ class TestConstructionA:
 
     def test_path_produces_the_known_split(self, path3, split4):
         ctx = clasp_context(path3, "y")
-        graph, record = construction_a(path3, "y", ctx, "t1")
+        choice = select_construction(path3, "y", ctx)
+        record = construction_a(path3, "y", ctx, choice, "t1")
+        graph = record.apply(path3)
         assert record.moved_heads == ("z",)
         assert is_isomorphic(graph, split4) is not None
 
     def test_counts_balance_and_heads_are_covered(self, two_clasps, path3):
         for g, x in [(two_clasps, "2"), (path3, "y")]:
             ctx = clasp_context(g, x)
-            _, record = construction_a(g, x, ctx, "t1")
+            record = construction_a(g, x, ctx, select_construction(g, x, ctx), "t1")
             assert len(record.removed) == len(record.added)
             assert set(ctx.witness_heads) <= set(record.moved_heads)
 
     def test_refused_when_rule_b_applies(self, chain_middle):
         ctx = clasp_context(chain_middle, "4")
+        choice = select_construction(chain_middle, "4", ctx)
         with pytest.raises(PreconditionViolated):
-            construction_a(chain_middle, "4", ctx, "t2")
+            construction_a(chain_middle, "4", ctx, choice, "t2")
 
 
 class TestConstructionAWithTails:
@@ -116,7 +123,9 @@ class TestConstructionAWithTails:
 
     def test_in_arrows_move_with_the_tails(self, tailed):
         ctx = clasp_context(tailed, "d")
-        graph, record = construction_a(tailed, "d", ctx, "t1")
+        choice = select_construction(tailed, "d", ctx)
+        record = construction_a(tailed, "d", ctx, choice, "t1")
+        graph = record.apply(tailed)
         assert set(record.removed) == {("c", "d"), ("d", "a")}
         assert set(record.added) == {("c", "t1"), ("t1", "a")}
         assert graph.has_arrow("b", "d"), "non-tail in-arrows stay put"
@@ -128,32 +137,54 @@ class TestConstructionAWithTails:
         assert verify_compression(outcome.mapping).valid
 
 
+def rule_b(graph, vertex, pivot_head, new_vertex, index=1):
+    """construction_b at ``pivot_head``, with the tails that pivot sorts
+    into kept (chord present) and detoured (chord missing) as witnesses."""
+    ctx = clasp_context(graph, vertex)
+    kept = [a for a in ctx.triple_tails if graph.has_arrow(a, pivot_head)]
+    detour = [a for a in ctx.triple_tails if not graph.has_arrow(a, pivot_head)]
+    choice = ConstructionChoice(
+        "B",
+        detour_tail=detour[0] if detour else None,
+        kept_tail=kept[0] if kept else None,
+        pivot_head=pivot_head,
+    )
+    return construction_b(graph, vertex, ctx, choice, new_vertex, index)
+
+
 class TestConstructionB:
     def test_running_example_second_step(self, chain_middle):
-        graph, record = construction_b(chain_middle, "4", "6", "t2", index=2)
+        record = rule_b(chain_middle, "4", "6", "t2", index=2)
+        graph = record.apply(chain_middle)
         assert record.moved_pairs == (("3", "7"),)
         assert set(record.removed) == {("3", "4"), ("4", "7")}
         assert set(record.added) == {("3", "t2"), ("t2", "7")}
         assert is_preordered(graph)
 
     def test_alternate_pivot_head(self, chain_middle):
-        graph, record = construction_b(chain_middle, "4", "7", "t2", index=2)
+        record = rule_b(chain_middle, "4", "7", "t2", index=2)
         assert record.moved_pairs == (("t1", "6"),)
         assert set(record.removed) == {("t1", "4"), ("4", "6")}
         assert set(record.added) == {("t1", "t2"), ("t2", "6")}
 
     def test_detoured_chords_already_exist(self, chain_middle):
-        _, record = construction_b(chain_middle, "4", "6", "t2")
+        record = rule_b(chain_middle, "4", "6", "t2")
         for c, z in record.moved_pairs:
             assert chain_middle.has_arrow(c, z)
 
     def test_bad_pivot_rejected(self, chain_middle):
         with pytest.raises(PreconditionViolated):
-            construction_b(chain_middle, "4", "1", "t2")
+            rule_b(chain_middle, "4", "1", "t2")
 
     def test_rejected_when_rule_a_applies(self, two_clasps):
         with pytest.raises(PreconditionViolated):
-            construction_b(two_clasps, "2", "4", "t1")
+            rule_b(two_clasps, "2", "4", "t1")
+
+    def test_witnesses_must_fit_the_pivot(self, chain_middle):
+        ctx = clasp_context(chain_middle, "4")
+        swapped = ConstructionChoice("B", detour_tail="t1", kept_tail="3", pivot_head="6")
+        with pytest.raises(PreconditionViolated):
+            construction_b(chain_middle, "4", ctx, swapped, "t2")
 
 
 class TestExpandOnce:
@@ -187,6 +218,16 @@ class TestExpandOnce:
     def test_non_clasp_rejected(self, two_clasps):
         with pytest.raises(NotAClasp):
             expand_once(two_clasps, "3")
+
+    def test_locked_clasp_elsewhere_rejected(self, locked5):
+        # q is an unlocked clasp, but x in the other component is locked
+        g = reflexive(
+            locked5.vertices + ("p", "q", "r"),
+            set(locked5.arrows) | {("p", "q"), ("q", "r")},
+        )
+        with pytest.raises(LockedClasp) as info:
+            expand_once(g, "q")
+        assert info.value.vertex == "x"
 
 
 class TestExpandToPreorder:
@@ -308,3 +349,63 @@ def test_trace_invariants_across_the_small_census():
                     assert record.moved_pairs
             assert_valid_trace_json(outcome.to_json())
     assert runs == 70
+
+
+class TestLocalChecksFire:
+    """Each local re-check of the loop must catch a split that breaks what
+    it guards.  The rule's output is replaced by a faulty record; checks
+    that run before the one under test are switched off where the fault
+    would trip them first."""
+
+    @staticmethod
+    def inject(monkeypatch, removed, added):
+        import dataclasses
+
+        import splitclosure.expansion as expansion
+
+        genuine = expansion.construction_a
+
+        def faulty(*args, **kwargs):
+            record = genuine(*args, **kwargs)
+            return dataclasses.replace(record, removed=removed, added=added)
+
+        monkeypatch.setattr(expansion, "construction_a", faulty)
+        return expansion
+
+    def test_step_map(self, path3, monkeypatch):
+        # t1 -> x maps to y -> x, which is not an arrow of the path
+        self.inject(monkeypatch, (("y", "z"),), (("t1", "x"),))
+        with pytest.raises(InternalInvariantBreached, match="step map"):
+            expand_to_preorder(path3)
+
+    def test_arrow_moved_away_from_the_split(self, path3, monkeypatch):
+        # the loop at x avoids the clasp y, so local checks would miss it
+        self.inject(monkeypatch, (("x", "x"),), (("t1", "z"),))
+        with pytest.raises(InternalInvariantBreached, match="moved an arrow elsewhere"):
+            expand_to_preorder(path3)
+
+    def test_stability(self, monkeypatch):
+        # a 3-cycle a -> c -> b -> a; pairing t1 with b leaves c -> b -> t1
+        # -> b with the chord b -> b but not c -> t1: unbalanced
+        cycle = reflexive("abc", [("a", "c"), ("b", "a"), ("c", "b")])
+        expansion = self.inject(
+            monkeypatch, (("a", "c"), ("b", "a")), (("b", "t1"), ("t1", "b"))
+        )
+        monkeypatch.setattr(expansion, "_check_step_map", lambda *args: None)
+        with pytest.raises(InternalInvariantBreached, match="unstable"):
+            expand_to_preorder(cycle)
+
+    def test_lock_freeness(self, monkeypatch):
+        # the faulty split leaves a stable graph with a locked clasp next
+        # to the split vertex c
+        g = reflexive(
+            "abcde",
+            [("c", "e"), ("d", "a"), ("d", "b"), ("d", "c"), ("e", "a"),
+             ("e", "b"), ("e", "d")],
+        )
+        expansion = self.inject(
+            monkeypatch, (("c", "e"), ("d", "c")), (("t1", "a"), ("t1", "d"))
+        )
+        monkeypatch.setattr(expansion, "_check_step_map", lambda *args: None)
+        with pytest.raises(InternalInvariantBreached, match="locked clasp"):
+            expand_to_preorder(g)

@@ -173,6 +173,32 @@ class TestStable:
         expected = naive_balanced(g) and naive_stable_extra(g)
         assert is_stable(g)[0] == expected
 
+    @given(digraphs(max_n=5, force_reflexive=True))
+    @settings(max_examples=150)
+    def test_local_witness_matches_naive_scan_through_each_vertex(self, g):
+        # the expansion loop's local stability check, vertex by vertex
+        from splitclosure.predicates import _stable_witness_at
+
+        arrows = g.arrows
+        for p, v in enumerate(g.vertices):
+            unbalanced = any(
+                {(w, x), (x, y), (y, z), (w, z)} <= arrows
+                and ((w, y) in arrows) != ((x, z) in arrows)
+                for w, x, y, z in itertools.product(g.vertices, repeat=4)
+                if v in (w, x, y, z)
+            )
+            unstable = any(
+                {(a, b), (a, c), (b, c), (b, d), (c, d)} <= arrows
+                and (a, d) not in arrows
+                for a, b, c, d in itertools.permutations(g.vertices, 4)
+                if v in (a, b, c, d)
+            )
+            witness = _stable_witness_at(g, p)
+            assert (witness is not None) == (unbalanced or unstable)
+            if witness is not None:
+                assert v in witness.quad
+                assert witness.kind == ("balance" if unbalanced else "stability")
+
 
 class TestClasps:
     def test_running_example(self, two_clasps):
@@ -201,6 +227,26 @@ class TestClasps:
         if is_transitive(g):
             assert clasps(g) == ()
 
+    def test_reflexivity_is_checked_once_per_call(self, two_clasps, monkeypatch):
+        import splitclosure.predicates as predicates
+
+        calls = []
+        original = predicates.missing_loop
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(predicates, "missing_loop", counting)
+        assert len(clasps(two_clasps)) == 2
+        assert len(calls) == 1
+
+    def test_requires_reflexive(self):
+        from splitclosure import DiGraph
+
+        with pytest.raises(NotReflexive):
+            clasps(DiGraph("ab", [("a", "b"), ("b", "b")]))
+
 
 class TestLockedStatus:
     def test_locked_fixture(self, locked5):
@@ -228,6 +274,13 @@ class TestLockedStatus:
     def test_unknown_vertex(self, two_clasps):
         with pytest.raises(UnknownVertex):
             locked_status(two_clasps, "9")
+
+    def test_requires_reflexive(self, locked5):
+        from splitclosure import DiGraph
+
+        arrows = set(locked5.arrows) - {("u", "u")}
+        with pytest.raises(NotReflexive):
+            locked_status(DiGraph(locked5.vertices, arrows), "x")
 
     def test_locked_fixture_is_stable(self, locked5):
         assert is_stable(locked5) == (True, None)
