@@ -273,8 +273,10 @@ def construction_b(
     ``select_construction`` picks); apply the returned record to get the
     split graph.
     """
+    if choice.kind != "B":
+        raise PreconditionViolated("no rule B witnesses; rule B does not apply")
     pivot_head = choice.pivot_head
-    if choice.kind != "B" or pivot_head not in ctx.witness_heads:
+    if pivot_head not in ctx.witness_heads:
         raise PreconditionViolated(f"{pivot_head} is not a witness head of {vertex}")
     i = graph.index(vertex)
     rows = graph._rows
