@@ -5,6 +5,10 @@ result dg and the ``--trace`` JSON that ``splitclosure expand`` must
 write for it.  ``twoclasps`` is the running example (one rule A split,
 one rule B split); ``layered-0`` is a 135-vertex three-layer DAG plus
 three five-vertex classes whose expansion uses rule B, with 49 splits.
+
+The ``census-*`` files pin the stdout of the census subcommand: the
+n <= 5 theorem sweep, the three obstruction sets at their CLI bounds, and
+the class counts.
 """
 
 from __future__ import annotations
@@ -26,6 +30,27 @@ def test_expand_output_is_pinned(stem, tmp_path):
     assert code == 0
     assert result.read_bytes() == (GOLDEN / f"{stem}.result.dg").read_bytes()
     assert trace.read_bytes() == (GOLDEN / f"{stem}.trace.json").read_bytes()
+
+
+CENSUS_PINS = [
+    ("census-validate-5.txt", ["--max-vertices", "5", "--validate"]),
+    ("census-obstructions-balanced-4.json", ["--max-vertices", "4", "--obstructions", "balanced"]),
+    (
+        "census-obstructions-stable-given-balanced-4.json",
+        ["--max-vertices", "4", "--obstructions", "stable-given-balanced"],
+    ),
+    (
+        "census-obstructions-unlocked-given-stable-5.json",
+        ["--max-vertices", "5", "--obstructions", "unlocked-given-stable"],
+    ),
+    ("census-count-5.txt", ["--max-vertices", "5", "--count"]),
+]
+
+
+@pytest.mark.parametrize("golden,args", CENSUS_PINS, ids=[g for g, _ in CENSUS_PINS])
+def test_census_output_is_pinned(golden, args, capsys):
+    assert main(["census", *args]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_pins_cover_both_rules():
