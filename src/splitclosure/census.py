@@ -9,9 +9,12 @@ universe re-checking every theorem the rest of the package relies on.
 Enumeration is by packed non-loop adjacency bit-strings (row-major, first
 cell most significant), so lexicographic order on bit-strings is numeric
 order on masks.  Up-to-isomorphism streams emit each orbit's minimal mask.
-For n <= 5 whole orbits are marked eagerly; n = 6 falls back to a lazy
-per-mask canonicity test, which is correct but only suitable for partial
-consumption.
+For n <= 5 whole orbits are marked eagerly: ``bytearray.find`` skips to the
+next unmarked mask, its orbit's minimum, whose permutation images are
+marked through byte tables.  n = 6 falls back to a lazy per-mask canonicity
+test, which is correct but only suitable for partial consumption.  The
+sweeps find the stable classes once per n on bit rows decoded from the
+masks, and build a ``DiGraph`` only for a class a later check looks at.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 from .compression import CompressionMap, verify_compression
 from .digraph import DiGraph, bits, canonical_form, emit_digraph
 from .errors import BoundExceeded, NotReflexive
 from .expansion import ExpansionOutcome, expand_to_preorder
 from .predicates import (
+    _stable_witness,
     clasp_vertices,
     clasps,
     is_balanced,
@@ -44,15 +49,32 @@ def _positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+@functools.lru_cache(maxsize=None)
+def _row_decoder(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per vertex i: the shift of its (n-1)-cell field in a packed mask and
+    a table from that field to the reflexive bit row of i."""
+    decoder = []
+    for i in range(n):
+        heads = [j for j in reversed(range(n)) if j != i]  # last cell = low field bit
+        table = tuple(
+            sum((1 << j for k, j in enumerate(heads) if (field >> k) & 1), 1 << i)
+            for field in range(1 << (n - 1))
+        )
+        decoder.append(((n - 1 - i) * (n - 1), table))
+    return tuple(decoder)
+
+
+def _mask_rows(n: int, mask: int) -> tuple[int, ...]:
+    """Reflexive bit rows of a packed non-loop mask."""
+    field = (1 << (n - 1)) - 1
+    return tuple(table[(mask >> shift) & field] for shift, table in _row_decoder(n))
+
+
 def graph_from_mask(n: int, mask: int, name: Optional[str] = None) -> DiGraph:
     """Reflexive graph on letter vertices from a packed non-loop mask."""
     verts = _LABELS[:n]
-    pos = _positions(n)
-    width = len(pos)
-    arrows = {(v, v) for v in verts}
-    for p, (i, j) in enumerate(pos):
-        if (mask >> (width - 1 - p)) & 1:
-            arrows.add((verts[i], verts[j]))
+    rows = _mask_rows(n, mask)
+    arrows = [(verts[i], verts[j]) for i in range(n) for j in bits(rows[i])]
     return DiGraph(verts, arrows, name=name)
 
 
@@ -108,18 +130,33 @@ def canonical_masks(n: int) -> tuple[int, ...]:
     """Minimal mask of every isomorphism orbit, ascending (n <= 5)."""
     if n == 1:
         return (0,)
-    width = n * (n - 1)
-    tables = _perm_chunk_tables(n)
-    total = 1 << width
-    seen = bytearray(total)
+    # every mask has at most 20 bits, so three byte tables cover it; the
+    # padding table maps the always-zero high bytes of small n to 0
+    pad = (0,) * 256
+    tables = [(chunks + (pad, pad))[:3] for chunks in _perm_chunk_tables(n)]
+    seen = bytearray(1 << (n * (n - 1)))
     out = []
-    for mask in range(total):
-        if seen[mask]:
-            continue
+    mask = 0
+    while mask >= 0:
         out.append(mask)
-        for chunks in tables:
-            seen[_apply_chunks(chunks, mask)] = 1
+        a, b, c = mask & 255, (mask >> 8) & 255, mask >> 16
+        for t0, t1, t2 in tables:
+            seen[t0[a] | t1[b] | t2[c]] = 1
+        mask = seen.find(0, mask + 1)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _classes_by_witness(n: int) -> Mapping[Optional[str], tuple[int, ...]]:
+    """Canonical masks on ``n`` vertices, ascending, grouped by the kind of
+    their first stable witness; the group None holds the stable classes."""
+    if not 1 <= n <= 5:
+        raise BoundExceeded(f"census bound {n} outside 1..5")
+    groups: dict[Optional[str], list[int]] = {None: [], "balance": [], "stability": []}
+    for mask in canonical_masks(n):
+        found = _stable_witness(_mask_rows(n, mask))
+        groups[found[0] if found else None].append(mask)
+    return MappingProxyType({kind: tuple(masks) for kind, masks in groups.items()})
 
 
 def _lazy_canonical_masks(n: int) -> Iterator[int]:
@@ -179,10 +216,12 @@ def _fails_unlocked_given_stable(graph: DiGraph) -> bool:
     return is_stable(graph)[0] and any(r.locked for r in clasps(graph))
 
 
-_PREDICATE_FAILS: dict[str, Callable[[DiGraph], bool]] = {
-    "balanced": _fails_balanced,
-    "stable-given-balanced": _fails_stable_given_balanced,
-    "unlocked-given-stable": _fails_unlocked_given_stable,
+# Per predicate: the full test on a graph, and the kind of stable witness
+# (None: stable) that the bit rows of every failing class have.
+_PREDICATES: dict[str, tuple[Callable[[DiGraph], bool], Optional[str]]] = {
+    "balanced": (_fails_balanced, "balance"),
+    "stable-given-balanced": (_fails_stable_given_balanced, "stability"),
+    "unlocked-given-stable": (_fails_unlocked_given_stable, None),
 }
 
 
@@ -222,14 +261,15 @@ def minimal_obstructions(predicate: str, n_max: int) -> ObstructionSet:
     representatives ordered by vertex count, then mask.
     """
     try:
-        fails = _PREDICATE_FAILS[predicate]
+        fails, kind = _PREDICATES[predicate]
     except KeyError:
         raise ValueError(f"unknown predicate {predicate!r}") from None
     if not 1 <= n_max <= 5:
         raise BoundExceeded(f"obstruction search bound {n_max} outside 1..5")
     members = []
     for n in range(1, n_max + 1):
-        for graph in enumerate_reflexive(n, "up-to-iso"):
+        for mask in _classes_by_witness(n)[kind]:
+            graph = graph_from_mask(n, mask)
             if not fails(graph):
                 continue
             minimal = True
@@ -470,23 +510,31 @@ def _transitive_inducing_holds(cmap: CompressionMap) -> bool:
     return True
 
 
-def _compression_theorem_holds(cmap: CompressionMap) -> Optional[str]:
-    src, tgt = cmap.source, cmap.target
-    if is_balanced(tgt)[0] and not is_balanced(src)[0]:
+def _compression_theorem_holds(
+    cmap: CompressionMap, memo: dict[DiGraph, tuple[bool, bool, bool, bool]]
+) -> Optional[str]:
+    """Re-check the compression theorem on one map.  ``memo`` holds each
+    graph's balanced, stable, preordered and locked-clasp verdicts for the
+    maps that share graphs, such as one replayed chain."""
+    for graph in (cmap.source, cmap.target):
+        if graph not in memo:
+            stable, witness = is_stable(graph)
+            balanced = stable or witness.kind == "stability"
+            locked = any(r.locked for r in clasps(graph))
+            memo[graph] = (balanced, stable, is_preordered(graph), locked)
+    src, tgt = memo[cmap.source], memo[cmap.target]
+    if tgt[0] and not src[0]:
         return "balanced not inherited"
-    if is_stable(tgt)[0] and not is_stable(src)[0]:
+    if tgt[1] and not src[1]:
         return "stable not inherited"
-    if is_preordered(tgt) and not is_preordered(src):
+    if tgt[2] and not src[2]:
         return "preordered not inherited"
     if not _transitive_inducing_holds(cmap):
         return "transitive-inducing failed"
-    if len(src.non_loop_arrows()) != len(tgt.non_loop_arrows()):
+    if len(cmap.source.non_loop_arrows()) != len(cmap.target.non_loop_arrows()):
         return "non-loop arrow counts differ"
-    if is_stable(src)[0]:
-        src_locked = any(r.locked for r in clasps(src))
-        tgt_locked = any(r.locked for r in clasps(tgt))
-        if src_locked != tgt_locked:
-            return "locked-clasp existence not transferred"
+    if src[1] and src[3] != tgt[3]:
+        return "locked-clasp existence not transferred"
     return None
 
 
@@ -511,22 +559,19 @@ def validate_theorems(n_max: int) -> ValidationReport:
     """
     if not 1 <= n_max <= 5:
         raise BoundExceeded(f"validation bound {n_max} outside 1..5")
-    counts = []
+    counts = [len(canonical_masks(n)) for n in range(1, n_max + 1)]
+    stable_all = [
+        graph_from_mask(n, mask, name=f"c{n}-{mask}")
+        for n in range(1, n_max + 1)
+        for mask in _classes_by_witness(n)[None]
+    ]
     stable_unlocked: list[DiGraph] = []
     stable_locked: list[DiGraph] = []
-    stable_all: list[DiGraph] = []
-    for n in range(1, n_max + 1):
-        count = 0
-        for graph in enumerate_reflexive(n, "up-to-iso"):
-            count += 1
-            if not is_stable(graph)[0]:
-                continue
-            stable_all.append(graph)
-            if any(r.locked for r in clasps(graph)):
-                stable_locked.append(graph)
-            else:
-                stable_unlocked.append(graph)
-        counts.append(count)
+    for graph in stable_all:
+        if any(r.locked for r in clasps(graph)):
+            stable_locked.append(graph)
+        else:
+            stable_unlocked.append(graph)
 
     checks = []
 
@@ -620,9 +665,10 @@ def validate_theorems(n_max: int) -> ValidationReport:
     failure = None
     map_count = 0
     for graph, outcome in outcomes:
+        memo: dict[DiGraph, tuple[bool, bool, bool, bool]] = {}
         for cmap in _replay_step_maps(outcome) + [outcome.mapping]:
             map_count += 1
-            problem = _compression_theorem_holds(cmap)
+            problem = _compression_theorem_holds(cmap, memo)
             if problem is not None:
                 failure = (graph, problem)
                 break
@@ -634,6 +680,7 @@ def validate_theorems(n_max: int) -> ValidationReport:
 
         for n in range(1, min(3, n_max) + 1):
             for graph in enumerate_reflexive(n, "up-to-iso"):
+                memo = {}
                 for vertex in graph.vertices:
                     ins = [u for u in graph.in_neighbors(vertex) if u != vertex]
                     outs = [u for u in graph.out_neighbors(vertex) if u != vertex]
@@ -648,7 +695,7 @@ def validate_theorems(n_max: int) -> ValidationReport:
                                     except InvalidSplit:
                                         continue
                                     map_count += 1
-                                    problem = _compression_theorem_holds(cmap)
+                                    problem = _compression_theorem_holds(cmap, memo)
                                     if problem is not None:
                                         failure = (graph, problem)
                                         break

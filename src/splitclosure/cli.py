@@ -16,7 +16,7 @@ import tempfile
 from typing import Optional, Sequence
 
 from .census import (
-    enumerate_reflexive,
+    canonical_masks,
     minimal_obstructions,
     validate_theorems,
 )
@@ -178,9 +178,7 @@ def _cmd_census(args) -> int:
     if not 1 <= n <= 5:
         raise BoundExceeded(f"census commands support 1..5 vertices, got {n}")
     if args.count:
-        counts = []
-        for k in range(1, n + 1):
-            counts.append(sum(1 for _ in enumerate_reflexive(k, "up-to-iso")))
+        counts = [len(canonical_masks(k)) for k in range(1, n + 1)]
         sys.stdout.write("iso classes: " + ", ".join(str(c) for c in counts) + "\n")
         return EXIT_OK
     if args.obstructions:

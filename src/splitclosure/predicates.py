@@ -74,16 +74,10 @@ def distinct_trans_triples(graph: DiGraph) -> frozenset[tuple[str, str, str]]:
     )
 
 
-def is_balanced(graph: DiGraph) -> tuple[bool, Optional[tuple[str, str, str, str]]]:
-    """Whenever wx, xy, yz, wz are arrows, the chords wy and xz must be
-    present or absent together.  Quantified over all vertex quadruples,
-    repeats allowed; loops count as arrows.
-    """
-    _require_reflexive(graph)
-    rows = graph._rows
-    labels = graph.vertices
-    for w in range(len(labels)):
-        rw = rows[w]
+def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
+    """First index quadruple (w, x, y, z) of reflexive bit rows with wx,
+    xy, yz, wz arrows whose chords wy and xz disagree, or None."""
+    for w, rw in enumerate(rows):
         for x in bits(rw):
             rx = rows[x]
             for y in bits(rx):
@@ -91,26 +85,17 @@ def is_balanced(graph: DiGraph) -> tuple[bool, Optional[tuple[str, str, str, str
                 zmask = rows[y] & rw
                 for z in bits(zmask):
                     if ((rx >> z) & 1) != wy:
-                        return False, (labels[w], labels[x], labels[y], labels[z])
-    return True, None
+                        return w, x, y, z
+    return None
 
 
-class StableWitness(NamedTuple):
-    kind: str  # "balance" or "stability"
-    quad: tuple[str, str, str, str]
-
-
-def is_stable(graph: DiGraph) -> tuple[bool, Optional[StableWitness]]:
-    """Balanced, plus: distinct a, b, c, d with ab, ac, bc, bd, cd force ad."""
-    ok, quad = is_balanced(graph)
-    if not ok:
-        assert quad is not None
-        return False, StableWitness("balance", quad)
-    rows = graph._rows
-    labels = graph.vertices
-    n = len(labels)
-    for a in range(n):
-        ra = rows[a]
+def _stable_witness(rows: tuple[int, ...]) -> Optional[tuple[str, tuple[int, int, int, int]]]:
+    """First balance witness of reflexive bit rows, else the first
+    stability quadruple (a, b, c, d); each with its kind, or None."""
+    quad = _balance_witness(rows)
+    if quad is not None:
+        return "balance", quad
+    for a, ra in enumerate(rows):
         abit = 1 << a
         for b in bits(ra & ~abit):
             rb = rows[b]
@@ -120,10 +105,35 @@ def is_stable(graph: DiGraph) -> tuple[bool, Optional[StableWitness]]:
                 # d = a is already impossible since the loop aa is present
                 dmask = rb & rows[c] & ~abit & ~(1 << b) & ~(1 << c) & ~ra
                 for d in bits(dmask):
-                    return False, StableWitness(
-                        "stability", (labels[a], labels[b], labels[c], labels[d])
-                    )
-    return True, None
+                    return "stability", (a, b, c, d)
+    return None
+
+
+def is_balanced(graph: DiGraph) -> tuple[bool, Optional[tuple[str, str, str, str]]]:
+    """Whenever wx, xy, yz, wz are arrows, the chords wy and xz must be
+    present or absent together.  Quantified over all vertex quadruples,
+    repeats allowed; loops count as arrows.
+    """
+    _require_reflexive(graph)
+    quad = _balance_witness(graph._rows)
+    if quad is None:
+        return True, None
+    return False, tuple(graph.vertices[i] for i in quad)
+
+
+class StableWitness(NamedTuple):
+    kind: str  # "balance" or "stability"
+    quad: tuple[str, str, str, str]
+
+
+def is_stable(graph: DiGraph) -> tuple[bool, Optional[StableWitness]]:
+    """Balanced, plus: distinct a, b, c, d with ab, ac, bc, bd, cd force ad."""
+    _require_reflexive(graph)
+    found = _stable_witness(graph._rows)
+    if found is None:
+        return True, None
+    kind, quad = found
+    return False, StableWitness(kind, tuple(graph.vertices[i] for i in quad))
 
 
 def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:

@@ -11,14 +11,25 @@ from splitclosure import (
     contains_induced,
     enumerate_reflexive,
     expand_to_preorder,
+    graph_from_mask,
+    is_balanced,
     is_isomorphic,
     is_reflexive,
     is_stable,
+    mask_from_graph,
     minimal_obstructions,
     oracle_preorder_expansion,
     validate_theorems,
     verify_compression,
 )
+from splitclosure.census import (
+    _apply_chunks,
+    _classes_by_witness,
+    _mask_rows,
+    _perm_chunk_tables,
+    canonical_masks,
+)
+from splitclosure.predicates import _balance_witness, _stable_witness
 
 # Up-to-isomorphism counts of reflexive digraphs, frozen from direct
 # enumeration; they match the classical unlabeled digraph counts.
@@ -83,6 +94,57 @@ class TestEnumeration:
         second = next(stream)
         assert first.non_loop_arrows() == frozenset()
         assert len(second.non_loop_arrows()) == 1
+
+
+class TestBitRowFastPaths:
+    """The census's bit-row fast paths against the slow routes they replace."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_canonical_masks_are_the_naive_orbit_minima(self, n):
+        tables = _perm_chunk_tables(n)
+        minima = {min(_apply_chunks(t, m) for t in tables) for m in range(1 << (n * (n - 1)))}
+        assert canonical_masks(n) == tuple(sorted(minima))
+
+    def test_five_vertex_masks_are_ascending_orbit_minima(self):
+        masks = canonical_masks(5)
+        assert len(masks) == 9608
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        tables = _perm_chunk_tables(5)
+        assert all(min(_apply_chunks(t, m) for t in tables) == m for m in masks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_witnesses_match_the_graph_predicates(self, n):
+        groups = _classes_by_witness(n)
+        for mask in canonical_masks(n):
+            graph = graph_from_mask(n, mask)
+            rows = _mask_rows(n, mask)
+            assert rows == graph._rows and mask_from_graph(graph) == mask
+            labels = graph.vertices
+            quad = _balance_witness(rows)
+            balanced = is_balanced(graph)
+            assert balanced == (quad is None, quad and tuple(labels[i] for i in quad))
+            found = _stable_witness(rows)
+            stable, witness = is_stable(graph)
+            kind = found and found[0]
+            assert mask in groups[kind]
+            if found is None:
+                assert stable and witness is None
+            else:
+                assert not stable
+                assert witness == (found[0], tuple(labels[i] for i in found[1]))
+                a, b, c, d = witness.quad
+                has = graph.has_arrow
+                if kind == "balance":
+                    assert has(a, b) and has(b, c) and has(c, d) and has(a, d)
+                    assert has(a, c) != has(b, d)
+                else:
+                    assert len(set(witness.quad)) == 4
+                    assert all(has(*p) for p in ((a, b), (a, c), (b, c), (b, d), (c, d)))
+                    assert not has(a, d)
+            if n <= 4:  # the independent quadruple scans
+                assert balanced[0] == naive_balanced(graph)
+                assert stable == (naive_balanced(graph) and naive_stable_extra(graph))
+        assert sum(len(g) for g in groups.values()) == len(canonical_masks(n))
 
 
 def _fails(predicate, g):
