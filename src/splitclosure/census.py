@@ -128,12 +128,9 @@ def _apply_chunks(chunks: tuple, mask: int) -> int:
 @functools.lru_cache(maxsize=None)
 def canonical_masks(n: int) -> tuple[int, ...]:
     """Minimal mask of every isomorphism orbit, ascending (n <= 5)."""
-    if n == 1:
-        return (0,)
-    # every mask has at most 20 bits, so three byte tables cover it; the
-    # padding table maps the always-zero high bytes of small n to 0
+    # masks have at most 20 bits: three byte tables, zero-padded for small n
     pad = (0,) * 256
-    tables = [(chunks + (pad, pad))[:3] for chunks in _perm_chunk_tables(n)]
+    tables = [(chunks + (pad, pad, pad))[:3] for chunks in _perm_chunk_tables(n)]
     seen = bytearray(1 << (n * (n - 1)))
     out = []
     mask = 0
@@ -513,9 +510,8 @@ def _transitive_inducing_holds(cmap: CompressionMap) -> bool:
 def _compression_theorem_holds(
     cmap: CompressionMap, memo: dict[DiGraph, tuple[bool, bool, bool, bool]]
 ) -> Optional[str]:
-    """Re-check the compression theorem on one map.  ``memo`` holds each
-    graph's balanced, stable, preordered and locked-clasp verdicts for the
-    maps that share graphs, such as one replayed chain."""
+    """Re-check the compression theorem on one map.  ``memo`` holds each graph's
+    balanced, stable, preordered and locked-clasp verdicts for one chain of maps."""
     for graph in (cmap.source, cmap.target):
         if graph not in memo:
             stable, witness = is_stable(graph)

@@ -41,11 +41,11 @@ def bits(mask: int) -> Iterator[int]:
 class DiGraph:
     """A finite directed graph: ordered vertex labels plus a set of arrows.
 
-    Vertex labels are non-empty, whitespace-free strings and must be
-    distinct.  Arrows are ordered pairs of listed labels; loops ``(v, v)``
-    are ordinary arrows.  Equality and hashing are structural (vertex
-    sequence and arrow set); the optional ``name`` is carried along but
-    ignored by comparisons.
+    Vertex labels are non-empty, whitespace-free strings that do not start
+    with ``#`` (the dg comment marker) and must be distinct.  Arrows are
+    ordered pairs of listed labels; loops ``(v, v)`` are ordinary arrows.
+    Equality and hashing are structural (vertex sequence and arrow set);
+    the optional ``name`` is carried along but ignored by comparisons.
     """
 
     def __init__(
@@ -58,7 +58,7 @@ class DiGraph:
         self.vertices = tuple(vertices)
         index: dict[str, int] = {}
         for i, v in enumerate(self.vertices):
-            if not v or any(c.isspace() for c in v):
+            if not v or v[0] == "#" or any(c.isspace() for c in v):
                 raise ValueError(f"invalid vertex label {v!r}")
             if v in index:
                 raise DuplicateVertex(v)
@@ -200,7 +200,7 @@ def _packed_matrix(graph: DiGraph) -> int:
     return packed
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _canonical_packed(n: int, packed: int) -> int:
     """Lexicographically minimal packed matrix over all vertex relabelings."""
     cells = [(packed >> (n * n - 1 - (i * n + j))) & 1 for i in range(n) for j in range(n)]
@@ -329,6 +329,8 @@ def parse_digraph(text: str) -> DiGraph:
             if vertices is not None:
                 raise ParseError(f"line {lineno}: repeated 'vertices:'")
             vertices = line[len("vertices:"):].split()
+            if any(v[0] == "#" for v in vertices):
+                raise ParseError(f"line {lineno}: vertex labels may not start with '#'")
         elif line.startswith("loops:"):
             if vertices is None or loops_mode is not None:
                 raise ParseError(f"line {lineno}: misplaced 'loops:'")
@@ -376,8 +378,11 @@ def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
     if fmt == "dot":
         name = graph.name or "G"
         lines = [f"digraph {name} {{"]
+        def quoted(label: str) -> str:
+            return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
         for u, v in graph.star().sorted_arrows():
-            lines.append(f'  "{u}" -> "{v}";')
+            lines.append(f"  {quoted(u)} -> {quoted(v)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

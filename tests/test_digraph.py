@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import digraphs, reflexive
 from splitclosure import (
@@ -15,6 +16,10 @@ from splitclosure import (
     is_star_acyclic,
     parse_digraph,
 )
+
+# comment marker, directive colon, DOT metacharacters, and whitespace
+# that only Unicode calls whitespace
+ADVERSARIAL_CHARS = '#:"\\a\u00e9 \u2028'
 
 PATH_TEXT = """\
 vertices: x y z
@@ -114,6 +119,34 @@ class TestEmit:
     @given(digraphs(max_n=5))
     def test_round_trip_property(self, g):
         assert parse_digraph(emit_digraph(g)) == g
+
+    @given(
+        st.lists(st.text(ADVERSARIAL_CHARS, max_size=3), min_size=1, max_size=4, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_every_accepted_label_round_trips(self, labels, data):
+        # a label is either refused up front or survives dg text unchanged
+        try:
+            DiGraph(labels, [])
+        except ValueError:
+            return
+        pairs = [(u, v) for u in labels for v in labels]
+        g = DiGraph(labels, data.draw(st.sets(st.sampled_from(pairs))))
+        assert parse_digraph(emit_digraph(g)) == g
+
+    def test_hash_labels_are_refused(self):
+        # "#a b" would read back as a comment and lose the arrow
+        with pytest.raises(ValueError):
+            DiGraph(["#a", "b"], [("#a", "b")])
+        with pytest.raises(ParseError):
+            parse_digraph("vertices: #a b\narrows:\n")
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = reflexive(['a"b', "c\\", "d"], [('a"b', "c\\"), ("c\\", "d")])
+        dot = emit_digraph(g, "dot")
+        assert '  "a\\"b" -> "c\\\\";' in dot
+        assert '  "c\\\\" -> "d";' in dot
 
 
 class TestDerivedGraphs:
@@ -237,6 +270,12 @@ class TestIsomorphism:
         g1 = reflexive("abc", [("a", "b"), ("b", "c")])
         g2 = reflexive("abc", [("a", "b"), ("a", "c")])
         assert is_isomorphic(g1, g2) is None
+
+    def test_canonical_form_cache_is_bounded(self):
+        from splitclosure.digraph import _canonical_packed
+
+        maxsize = _canonical_packed.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 369  # distinct keys of the n <= 5 sweep
 
     @given(digraphs())
     @settings(max_examples=50)
