@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
 
 from .compression import CompressionMap, verify_compression
-from .digraph import DiGraph, bits, canonical_form, emit_digraph
+from .digraph import DiGraph, _canonical_packed, _packed_matrix, bits, emit_digraph
 from .errors import BoundExceeded, NotReflexive
 from .expansion import ExpansionOutcome, expand_to_preorder
 from .predicates import (
@@ -243,9 +243,10 @@ def contains_induced(graph: DiGraph, pattern: DiGraph) -> bool:
     k = len(pattern.vertices)
     if k > len(graph.vertices):
         return False
-    key = canonical_form(pattern)
-    for subset in itertools.combinations(graph.vertices, k):
-        if canonical_form(graph.induced(subset)) == key:
+    key = _canonical_packed(k, _packed_matrix(pattern._rows, range(k)))
+    rows = graph._rows
+    for subset in itertools.combinations(range(len(graph.vertices)), k):
+        if _canonical_packed(k, _packed_matrix(rows, subset)) == key:
             return True
     return False
 
@@ -510,8 +511,8 @@ def _transitive_inducing_holds(cmap: CompressionMap) -> bool:
 def _compression_theorem_holds(
     cmap: CompressionMap, memo: dict[DiGraph, tuple[bool, bool, bool, bool]]
 ) -> Optional[str]:
-    """Re-check the compression theorem on one map.  ``memo`` holds each graph's
-    balanced, stable, preordered and locked-clasp verdicts for one chain of maps."""
+    """Re-check the compression theorem on one map.  ``memo`` caches each graph's
+    balanced, stable, preordered and locked-clasp verdicts across maps sharing graphs."""
     for graph in (cmap.source, cmap.target):
         if graph not in memo:
             stable, witness = is_stable(graph)

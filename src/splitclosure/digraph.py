@@ -189,13 +189,13 @@ class VertexBijection:
         return VertexBijection(tuple((b, a) for a, b in self.pairs))
 
 
-def _packed_matrix(graph: DiGraph) -> int:
-    """Full adjacency matrix, row-major, first cell most significant."""
-    n = len(graph.vertices)
+def _packed_matrix(rows: tuple[int, ...], order: Iterable[int]) -> int:
+    """Adjacency matrix of the vertices at ``order`` (a sequence of indices
+    into the bit rows), row-major, first cell most significant."""
     packed = 0
-    for i in range(n):
-        row = graph._rows[i]
-        for j in range(n):
+    for i in order:
+        row = rows[i]
+        for j in order:
             packed = (packed << 1) | ((row >> j) & 1)
     return packed
 
@@ -223,7 +223,7 @@ def _canonical_packed(n: int, packed: int) -> int:
 def canonical_form(graph: DiGraph) -> tuple[int, int]:
     """A label-independent key: two graphs are isomorphic iff keys match."""
     n = len(graph.vertices)
-    return n, _canonical_packed(n, _packed_matrix(graph))
+    return n, _canonical_packed(n, _packed_matrix(graph._rows, range(n)))
 
 
 def is_isomorphic(first: DiGraph, second: DiGraph) -> Optional[VertexBijection]:
@@ -376,11 +376,12 @@ def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
         lines.extend(f"{u} {v}" for u, v in arrows)
         return "\n".join(lines) + "\n"
     if fmt == "dot":
-        name = graph.name or "G"
-        lines = [f"digraph {name} {{"]
+
         def quoted(label: str) -> str:
             return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
+        name = graph.name or "G"
+        lines = [f"digraph {name} {{"]
         for u, v in graph.star().sorted_arrows():
             lines.append(f"  {quoted(u)} -> {quoted(v)};")
         lines.append("}")

@@ -3,10 +3,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import digraphs
 from test_predicates import naive_balanced, naive_stable_extra
 from splitclosure import (
     BoundExceeded,
+    DiGraph,
     clasps,
     contains_induced,
     enumerate_reflexive,
@@ -230,6 +234,27 @@ class TestContainsInduced:
 
     def test_pattern_larger_than_graph(self, path3, split4):
         assert not contains_induced(path3, split4)
+
+    @given(digraphs(max_n=5), st.data())
+    @settings(max_examples=150)
+    def test_matches_isomorphism_search_over_induced_graphs(self, g, data):
+        # the pattern is a relabelled induced subgraph half of the time
+        if data.draw(st.booleans()):
+            pattern = data.draw(digraphs(max_n=len(g.vertices)))
+        else:
+            k = data.draw(st.integers(1, len(g.vertices)))
+            sub = g.induced(data.draw(st.permutations(g.vertices))[:k])
+            perm = data.draw(st.permutations(range(k)))
+            relabel = {v: f"p{perm[i]}" for i, v in enumerate(sub.vertices)}
+            pattern = DiGraph(
+                [f"p{i}" for i in range(k)], [(relabel[u], relabel[v]) for u, v in sub.arrows]
+            )
+        k = len(pattern.vertices)
+        expected = any(
+            is_isomorphic(g.induced(subset), pattern) is not None
+            for subset in itertools.combinations(g.vertices, k)
+        )
+        assert contains_induced(g, pattern) == expected
 
 
 class TestOracle:
