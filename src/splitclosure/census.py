@@ -128,6 +128,8 @@ def _apply_chunks(chunks: tuple, mask: int) -> int:
 @functools.lru_cache(maxsize=None)
 def canonical_masks(n: int) -> tuple[int, ...]:
     """Minimal mask of every isomorphism orbit, ascending (n <= 5)."""
+    if not 1 <= n <= 5:
+        raise BoundExceeded(f"eager orbit enumeration bound {n} outside 1..5")
     # masks have at most 20 bits: three byte tables, zero-padded for small n
     pad = (0,) * 256
     tables = [(chunks + (pad, pad, pad))[:3] for chunks in _perm_chunk_tables(n)]
@@ -147,8 +149,6 @@ def canonical_masks(n: int) -> tuple[int, ...]:
 def _classes_by_witness(n: int) -> Mapping[Optional[str], tuple[int, ...]]:
     """Canonical masks on ``n`` vertices, ascending, grouped by the kind of
     their first stable witness; the group None holds the stable classes."""
-    if not 1 <= n <= 5:
-        raise BoundExceeded(f"census bound {n} outside 1..5")
     groups: dict[Optional[str], list[int]] = {None: [], "balance": [], "stability": []}
     for mask in canonical_masks(n):
         found = _stable_witness(_mask_rows(n, mask))

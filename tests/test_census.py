@@ -109,6 +109,11 @@ class TestBitRowFastPaths:
         minima = {min(_apply_chunks(t, m) for t in tables) for m in range(1 << (n * (n - 1)))}
         assert canonical_masks(n) == tuple(sorted(minima))
 
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_eager_enumeration_is_bounded(self, n):
+        with pytest.raises(BoundExceeded):
+            canonical_masks(n)
+
     def test_five_vertex_masks_are_ascending_orbit_minima(self):
         masks = canonical_masks(5)
         assert len(masks) == 9608
