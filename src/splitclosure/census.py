@@ -30,7 +30,8 @@ from .digraph import DiGraph, _canonical_packed, _packed_matrix, bits, emit_digr
 from .errors import BoundExceeded, NotReflexive
 from .expansion import ExpansionOutcome, expand_to_preorder
 from .predicates import (
-    _stable_witness,
+    _balance_witness,
+    _stability_witness,
     clasp_vertices,
     clasps,
     is_balanced,
@@ -151,8 +152,11 @@ def _classes_by_witness(n: int) -> Mapping[Optional[str], tuple[int, ...]]:
     their first stable witness; the group None holds the stable classes."""
     groups: dict[Optional[str], list[int]] = {None: [], "balance": [], "stability": []}
     for mask in canonical_masks(n):
-        found = _stable_witness(_mask_rows(n, mask))
-        groups[found[0] if found else None].append(mask)
+        rows = _mask_rows(n, mask)
+        if _balance_witness(rows):
+            groups["balance"].append(mask)
+        else:
+            groups["stability" if _stability_witness(rows) else None].append(mask)
     return MappingProxyType({kind: tuple(masks) for kind, masks in groups.items()})
 
 
@@ -508,9 +512,7 @@ def _transitive_inducing_holds(cmap: CompressionMap) -> bool:
     return True
 
 
-def _compression_theorem_holds(
-    cmap: CompressionMap, memo: dict[DiGraph, tuple[bool, bool, bool, bool]]
-) -> Optional[str]:
+def _compression_theorem_holds(cmap: CompressionMap, memo: dict) -> Optional[str]:
     """Re-check the compression theorem on one map.  ``memo`` caches each graph's
     balanced, stable, preordered and locked-clasp verdicts across maps sharing graphs."""
     for graph in (cmap.source, cmap.target):

@@ -89,12 +89,9 @@ def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int
     return None
 
 
-def _stable_witness(rows: tuple[int, ...]) -> Optional[tuple[str, tuple[int, int, int, int]]]:
-    """First balance witness of reflexive bit rows, else the first
-    stability quadruple (a, b, c, d); each with its kind, or None."""
-    quad = _balance_witness(rows)
-    if quad is not None:
-        return "balance", quad
+def _stability_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
+    """First distinct index quadruple (a, b, c, d) of reflexive bit rows
+    with ab, ac, bc, bd, cd arrows and ad missing, or None."""
     for a, ra in enumerate(rows):
         abit = 1 << a
         for b in bits(ra & ~abit):
@@ -105,7 +102,7 @@ def _stable_witness(rows: tuple[int, ...]) -> Optional[tuple[str, tuple[int, int
                 # d = a is already impossible since the loop aa is present
                 dmask = rb & rows[c] & ~abit & ~(1 << b) & ~(1 << c) & ~ra
                 for d in bits(dmask):
-                    return "stability", (a, b, c, d)
+                    return a, b, c, d
     return None
 
 
@@ -128,12 +125,13 @@ class StableWitness(NamedTuple):
 
 def is_stable(graph: DiGraph) -> tuple[bool, Optional[StableWitness]]:
     """Balanced, plus: distinct a, b, c, d with ab, ac, bc, bd, cd force ad."""
-    _require_reflexive(graph)
-    found = _stable_witness(graph._rows)
+    ok, quad = is_balanced(graph)
+    if not ok:
+        return False, StableWitness("balance", quad)
+    found = _stability_witness(graph._rows)
     if found is None:
         return True, None
-    kind, quad = found
-    return False, StableWitness(kind, tuple(graph.vertices[i] for i in quad))
+    return False, StableWitness("stability", tuple(graph.vertices[i] for i in found))
 
 
 def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:

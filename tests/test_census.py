@@ -33,7 +33,7 @@ from splitclosure.census import (
     _perm_chunk_tables,
     canonical_masks,
 )
-from splitclosure.predicates import _balance_witness, _stable_witness
+from splitclosure.predicates import _balance_witness, _stability_witness
 
 # Up-to-isomorphism counts of reflexive digraphs, frozen from direct
 # enumeration; they match the classical unlabeled digraph counts.
@@ -132,15 +132,18 @@ class TestBitRowFastPaths:
             quad = _balance_witness(rows)
             balanced = is_balanced(graph)
             assert balanced == (quad is None, quad and tuple(labels[i] for i in quad))
-            found = _stable_witness(rows)
             stable, witness = is_stable(graph)
-            kind = found and found[0]
+            if quad is not None:
+                kind, found = "balance", quad
+            else:
+                found = _stability_witness(rows)
+                kind = None if found is None else "stability"
             assert mask in groups[kind]
             if found is None:
                 assert stable and witness is None
             else:
                 assert not stable
-                assert witness == (found[0], tuple(labels[i] for i in found[1]))
+                assert witness == (kind, tuple(labels[i] for i in found))
                 a, b, c, d = witness.quad
                 has = graph.has_arrow
                 if kind == "balance":
