@@ -77,15 +77,18 @@ def distinct_trans_triples(graph: DiGraph) -> frozenset[tuple[str, str, str]]:
 def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
     """First index quadruple (w, x, y, z) of reflexive bit rows with wx,
     xy, yz, wz arrows whose chords wy and xz disagree, or None."""
+    # x = w or y = x cannot fail: both chords are then arrows of the
+    # quadruple itself (xy and wz, or wx and yz)
     for w, rw in enumerate(rows):
-        for x in bits(rw):
+        for x in bits(rw & ~(1 << w)):
             rx = rows[x]
-            for y in bits(rx):
-                wy = (rw >> y) & 1
+            for y in bits(rx & ~(1 << x)):
+                # z ranges over the heads of both yz and wz; the chord xz
+                # must be present exactly when wy is
                 zmask = rows[y] & rw
-                for z in bits(zmask):
-                    if ((rx >> z) & 1) != wy:
-                        return w, x, y, z
+                bad = zmask & ~rx if (rw >> y) & 1 else zmask & rx
+                if bad:
+                    return w, x, y, (bad & -bad).bit_length() - 1
     return None
 
 
@@ -370,8 +373,10 @@ def property_report(graph: DiGraph) -> PropertyReport:
     t_witness = transitive_witness(graph)
     transitive = t_witness is None
     if reflexive:
-        balanced, b_witness = is_balanced(graph)
+        # is_stable scans balance first, so its witness also settles balance
         stable, s_witness = is_stable(graph)
+        balanced = stable or s_witness.kind != "balance"
+        b_witness = None if balanced else s_witness.quad
         clasp_records = clasps(graph)
         solo = soloists(graph)
     else:
