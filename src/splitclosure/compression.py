@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .digraph import Arrow, DiGraph, bits
+from .digraph import DiGraph, bits
 from .errors import (
     ChainMismatch,
     DomainMismatch,
@@ -99,78 +99,91 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
     Conditions are tested in a fixed order (surjectivity, arrow
     preservation, triple lifting, arrow-map well-definedness, arrow-map
     injectivity) and the first failure wins, so verdicts are
-    deterministic.
+    deterministic.  Within a condition, arrows and triples are scanned in
+    vertex order.
     """
     src, tgt = cmap.source, cmap.target
     assignment = cmap.assignment
+    tgt_index = tgt._index
+    f = []  # f[i]: target index of the image of source vertex i
     for v in src.vertices:
         if v not in assignment:
             raise DomainMismatch(f"no image for source vertex {v}")
-        if assignment[v] not in tgt:
+        t = tgt_index.get(assignment[v])
+        if t is None:
             raise DomainMismatch(f"image {assignment[v]} of {v} is not a target vertex")
+        f.append(t)
     for g, side in ((src, "source"), (tgt, "target")):
         for i, v in enumerate(g.vertices):
             if not (g._rows[i] >> i) & 1:
                 raise NotReflexive(f"{side} vertex {v} has no loop")
 
-    covered = {assignment[v] for v in src.vertices}
-    for t in tgt.vertices:
-        if t not in covered:
-            return CompressionVerdict(False, "not-surjective", (t,))
+    s_rows, s_labels = src._rows, src.vertices
+    t_rows, t_labels = tgt._rows, tgt.vertices
+    fibers = [0] * len(t_labels)  # fibers[t]: source vertices mapped onto t
+    for i, t in enumerate(f):
+        fibers[t] |= 1 << i
+    for t, fiber in enumerate(fibers):
+        if not fiber:
+            return CompressionVerdict(False, "not-surjective", (t_labels[t],))
 
-    for u, v in src.sorted_arrows():
-        if not tgt.has_arrow(assignment[u], assignment[v]):
-            return CompressionVerdict(False, "cond1", (u, v))
+    # cond1: every head of u's arrows lies in the preimage of f(u)'s row
+    preimage = []
+    for row in t_rows:
+        mask = 0
+        for t in bits(row):
+            mask |= fibers[t]
+        preimage.append(mask)
+    for u, row in enumerate(s_rows):
+        bad = row & ~preimage[f[u]]
+        if bad:
+            v = (bad & -bad).bit_length() - 1
+            return CompressionVerdict(False, "cond1", (s_labels[u], s_labels[v]))
 
-    fibers: dict[str, list[str]] = {t: [] for t in tgt.vertices}
-    for v in src.vertices:
-        fibers[assignment[v]].append(v)
-
-    tgt_labels = tgt.vertices
-    tgt_rows = tgt._rows
-    for a1 in range(len(tgt_labels)):
-        r1 = tgt_rows[a1]
+    # cond2: for each target arrow a1 -> a2, collect every x3 closing a
+    # source triple x1 -> x2 -> x3 (with x1 -> x3) over the two fibers; a
+    # target triple (a1, a2, a3) lifts iff that set meets a3's fiber
+    for a1, r1 in enumerate(t_rows):
+        f1 = fibers[a1]
         for a2 in bits(r1):
-            both = tgt_rows[a2] & r1
-            for a3 in bits(both):
-                triple = (tgt_labels[a1], tgt_labels[a2], tgt_labels[a3])
-                if not _lifts(src, fibers, triple):
+            f2 = fibers[a2]
+            closing = 0
+            for x1 in bits(f1):
+                s1 = s_rows[x1]
+                for x2 in bits(s1 & f2):
+                    closing |= s1 & s_rows[x2]
+            for a3 in bits(t_rows[a2] & r1):
+                if not closing & fibers[a3]:
+                    triple = (t_labels[a1], t_labels[a2], t_labels[a3])
                     return CompressionVerdict(False, "cond2", triple)
 
-    seen: dict[tuple[str, str], Arrow] = {}
-    for arrow in src.sorted_arrows(include_loops=False):
-        u, v = arrow
-        image = (assignment[u], assignment[v])
-        if image[0] == image[1]:
-            return CompressionVerdict(False, "cond3-not-well-defined", (u, v))
-        if image in seen:
-            return CompressionVerdict(
-                False, "cond3-not-injective", (tuple(seen[image]), (u, v))
-            )
-        seen[image] = arrow
+    # cond3: non-loop arrows map one-to-one onto non-loop target arrows
+    m = len(t_labels)
+    seen: dict[int, tuple[int, int]] = {}
+    for u, row in enumerate(s_rows):
+        fu = f[u]
+        for v in bits(row & ~(1 << u)):
+            fv = f[v]
+            if fu == fv:
+                return CompressionVerdict(
+                    False, "cond3-not-well-defined", (s_labels[u], s_labels[v])
+                )
+            key = fu * m + fv
+            first = seen.get(key)
+            if first is not None:
+                u1, v1 = first
+                return CompressionVerdict(
+                    False,
+                    "cond3-not-injective",
+                    ((s_labels[u1], s_labels[v1]), (s_labels[u], s_labels[v])),
+                )
+            seen[key] = (u, v)
 
     # Surjectivity of the induced arrow map is forced by condition 2 on
     # triples (a, b, b); a failure here would be an implementation bug.
-    if len(seen) != len(tgt.non_loop_arrows()):
+    if len(seen) != sum(row.bit_count() for row in t_rows) - m:
         raise InternalInvariantBreached("arrow map not surjective after cond2 passed")
     return VALID
-
-
-def _lifts(src: DiGraph, fibers: dict[str, list[str]], triple: tuple[str, str, str]) -> bool:
-    f1, f2, f3 = (fibers[a] for a in triple)
-    if len(f1) == 1 and len(f2) == 1 and len(f3) == 1:
-        x1, x2, x3 = f1[0], f2[0], f3[0]
-        return (
-            src.has_arrow(x1, x2) and src.has_arrow(x2, x3) and src.has_arrow(x1, x3)
-        )
-    for x1 in f1:
-        for x2 in f2:
-            if not src.has_arrow(x1, x2):
-                continue
-            for x3 in f3:
-                if src.has_arrow(x2, x3) and src.has_arrow(x1, x3):
-                    return True
-    return False
 
 
 def compose(outer: CompressionMap, inner: CompressionMap) -> CompressionMap:
