@@ -172,6 +172,30 @@ class TestVerify:
         assert code == 1 and "not total" in err
 
 
+def test_one_parser_serves_successive_calls(files, tmp_path, capsys):
+    import splitclosure.cli as cli
+
+    m = tmp_path / "map.txt"
+    m.write_text("t y\n")
+    expected = property_report(parse_digraph(EX_TEXT)).to_json()
+
+    code, out, _ = run_cli(capsys, "check", "--json", files["ex"])
+    assert code == 0 and json.loads(out) == {"name": "twoclasps", **expected}
+    code, out, _ = run_cli(capsys, "check", files["path"])
+    assert code == 0 and out.startswith("digraph: (unnamed) (3 vertices, 5 arrows)\n")
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--json"])
+    captured = capsys.readouterr()
+    assert info.value.code == 1 and captured.out == ""
+    assert "the following arguments are required: file" in captured.err
+    code, out, err = run_cli(capsys, "verify", files["split"], files["path"], str(m))
+    assert (code, out, err) == (0, "Valid\n", "")
+    # the parser was built once, and no call left an option set for the next
+    assert cli._parser() is cli._parser()
+    code, out, _ = run_cli(capsys, "check", files["ex"])
+    assert code == 0 and not out.startswith("{")
+
+
 class TestClosure:
     def test_comparison_rows(self, capsys, files):
         code, out, _ = run_cli(capsys, "closure", files["ex"])
