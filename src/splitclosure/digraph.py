@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -355,6 +356,14 @@ def parse_digraph(text: str) -> DiGraph:
     return DiGraph(vertices, arrow_set, name=name)
 
 
+# DOT identifiers that need no quotes: a word of letters, digits and
+# underscores that does not start with a digit (every non-ASCII character
+# counts as a letter) or a numeral, but no keyword.  Matched through re's
+# pattern cache, so importing the module compiles nothing.
+_DOT_ID = r"(?![0-9])(?:[A-Za-z_0-9]|[^\x00-\x7f])+|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)"
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
     """Render the graph as dg or DOT text, deterministically.
 
@@ -381,6 +390,8 @@ def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
             return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
         name = graph.name or "G"
+        if not re.fullmatch(_DOT_ID, name) or name.lower() in _DOT_KEYWORDS:
+            name = quoted(name)
         lines = [f"digraph {name} {{"]
         for u, v in graph.star().sorted_arrows():
             lines.append(f"  {quoted(u)} -> {quoted(v)};")
