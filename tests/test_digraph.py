@@ -145,11 +145,14 @@ class TestEmit:
     def test_dot_quotes_names_that_are_not_plain_ids(self):
         g = parse_digraph('digraph: my "graph"\nvertices: a b\narrows:\na b\n')
         assert emit_digraph(g, "dot").startswith('digraph "my \\"graph\\"" {\n')
+
+        def head(name):
+            return emit_digraph(DiGraph("a", [], name=name), "dot").split("\n")[0]
+
         for name in ("layered-0", "3x", "graph", "Digraph", "a\\b"):
-            quoted = '"' + name.replace("\\", "\\\\") + '"'
-            assert emit_digraph(DiGraph("a", [], name=name), "dot").startswith(f"digraph {quoted} {{")
+            assert head(name) == 'digraph "' + name.replace("\\", "\\\\") + '" {'
         for name in ("G", "twoclasps", "_x1", "grafé", "3", "-2.5", ".5", "graph_1"):
-            assert emit_digraph(DiGraph("a", [], name=name), "dot").startswith(f"digraph {name} {{")
+            assert head(name) == f"digraph {name} {{"
 
     def test_dot_escapes_quotes_and_backslashes(self):
         g = reflexive(['a"b', "c\\", "d"], [('a"b', "c\\"), ("c\\", "d")])
