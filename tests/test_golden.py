@@ -9,6 +9,11 @@ three five-vertex classes whose expansion uses rule B, with 49 splits.
 The ``census-*`` files pin the stdout of the census subcommand: the
 n <= 5 theorem sweep, the three obstruction sets at their CLI bounds, and
 the class counts.
+
+The ``*.check.txt``/``*.check.json`` files pin ``check`` and
+``check --json`` on both ends of the ``layered-0`` expansion and on a
+non-reflexive and an unstable graph; ``layered-0.verify.txt`` pins
+``verify`` of the result against the input under the traced map.
 """
 
 from __future__ import annotations
@@ -58,3 +63,24 @@ def test_pins_cover_both_rules():
         payload = json.loads((GOLDEN / f"{stem}.trace.json").read_text(encoding="utf-8"))
         kinds = {record["construction"] for record in payload["iterations"]}
         assert kinds == {"A", "B"}
+
+
+INSPECT_STEMS = ["layered-0", "layered-0.result", "nonreflexive", "unstable"]
+
+
+@pytest.mark.parametrize("stem", INSPECT_STEMS)
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_check_output_is_pinned(stem, json_flag, capsys):
+    args = ["check", "--json"] if json_flag else ["check"]
+    assert main([*args, str(GOLDEN / f"{stem}.dg")]) == 0
+    expected = GOLDEN / f"{stem}.check.{'json' if json_flag else 'txt'}"
+    assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    mapping = json.loads((GOLDEN / "layered-0.trace.json").read_text(encoding="utf-8"))["map"]
+    map_path = tmp_path / "map.txt"
+    map_path.write_text("".join(f"{s} {t}\n" for s, t in mapping.items()), encoding="utf-8")
+    source, result = GOLDEN / "layered-0.dg", GOLDEN / "layered-0.result.dg"
+    assert main(["verify", str(result), str(source), str(map_path)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "layered-0.verify.txt").read_bytes()
