@@ -1,15 +1,7 @@
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
 from hypothesis import strategies as st
-
-# allow running the suite from a checkout without installing the package
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
 
 from splitclosure import DiGraph
 
