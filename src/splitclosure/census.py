@@ -73,10 +73,7 @@ def _mask_rows(n: int, mask: int) -> tuple[int, ...]:
 
 def graph_from_mask(n: int, mask: int, name: Optional[str] = None) -> DiGraph:
     """Reflexive graph on letter vertices from a packed non-loop mask."""
-    verts = _LABELS[:n]
-    rows = _mask_rows(n, mask)
-    arrows = [(verts[i], verts[j]) for i in range(n) for j in bits(rows[i])]
-    return DiGraph(verts, arrows, name=name)
+    return DiGraph._from_rows(_LABELS[:n], _mask_rows(n, mask), name)
 
 
 def mask_from_graph(graph: DiGraph) -> int:
@@ -283,13 +280,8 @@ def minimal_obstructions(predicate: str, n_max: int) -> ObstructionSet:
                 if not minimal:
                     break
             if minimal:
-                members.append(
-                    DiGraph(
-                        graph.vertices,
-                        graph.arrows,
-                        name=f"{predicate}-obstruction-{len(members) + 1}",
-                    )
-                )
+                name = f"{predicate}-obstruction-{len(members) + 1}"
+                members.append(graph_from_mask(n, mask, name))
     return ObstructionSet(predicate, n_max, tuple(members))
 
 
@@ -324,7 +316,7 @@ def oracle_preorder_expansion(
     n = len(target.vertices)
     if max_extra < 0 or n + max_extra > 8:
         raise BoundExceeded(f"search size {n}+{max_extra} outside 1..8")
-    target_arrows = target.star().sorted_arrows()
+    target_arrows = target.sorted_arrows(include_loops=False)
     taken = set(target.vertices)
 
     for total in range(n, n + max_extra + 1):
@@ -369,11 +361,7 @@ def oracle_preorder_expansion(
                         break
                 if not transitive:
                     continue
-                arrows = [(source_vertices[i], source_vertices[i]) for i in range(total)]
-                arrows.extend(
-                    (source_vertices[iu], source_vertices[iw]) for iu, iw in choice
-                )
-                candidate = DiGraph(source_vertices, arrows)
+                candidate = DiGraph._from_rows(tuple(source_vertices), tuple(rows))
                 assignment = {
                     c: v for v, fiber in copies.items() for c in fiber
                 }
@@ -530,7 +518,7 @@ def _compression_theorem_holds(cmap: CompressionMap, memo: dict) -> Optional[str
         return "preordered not inherited"
     if not _transitive_inducing_holds(cmap):
         return "transitive-inducing failed"
-    if len(cmap.source.non_loop_arrows()) != len(cmap.target.non_loop_arrows()):
+    if cmap.source.arrow_count(include_loops=False) != cmap.target.arrow_count(include_loops=False):
         return "non-loop arrow counts differ"
     if src[1] and src[3] != tgt[3]:
         return "locked-clasp existence not transferred"
@@ -590,10 +578,10 @@ def validate_theorems(n_max: int) -> ValidationReport:
         if not is_stable(result)[0]:
             failure = (graph, "result not stable")
             break
-        if len(result.non_loop_arrows()) != len(graph.non_loop_arrows()):
+        if result.arrow_count(include_loops=False) != graph.arrow_count(include_loops=False):
             failure = (graph, "non-loop arrows not conserved")
             break
-        cap = len(graph.vertices) + 2 * len(graph.non_loop_arrows())
+        cap = len(graph.vertices) + 2 * graph.arrow_count(include_loops=False)
         if outcome.iterations > cap:
             failure = (graph, "iteration cap exceeded")
             break

@@ -68,7 +68,7 @@ def _render_report(graph: DiGraph, report) -> str:
     lines = []
     label = graph.name or "(unnamed)"
     lines.append(
-        f"digraph: {label} ({len(graph.vertices)} vertices, {len(graph.arrows)} arrows)"
+        f"digraph: {label} ({len(graph.vertices)} vertices, {graph.arrow_count()} arrows)"
     )
 
     def yesno(flag):
@@ -156,7 +156,7 @@ def _cmd_verify(args) -> int:
 def _cmd_closure(args) -> int:
     graph = _read_graph(args.file)
     closure = graph.transitive_closure()
-    added_arrows = len(closure.arrows) - len(graph.arrows)
+    added_arrows = closure.arrow_count() - graph.arrow_count()
     sys.stdout.write(f"closure:   +{added_arrows} arrows, +0 vertices\n")
     try:
         outcome = expand_to_preorder(graph)

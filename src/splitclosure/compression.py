@@ -114,9 +114,8 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
             raise DomainMismatch(f"image {assignment[v]} of {v} is not a target vertex")
         f.append(t)
     for g, side in ((src, "source"), (tgt, "target")):
-        for i, v in enumerate(g.vertices):
-            if not (g._rows[i] >> i) & 1:
-                raise NotReflexive(f"{side} vertex {v} has no loop")
+        if g._missing_loop is not None:
+            raise NotReflexive(f"{side} vertex {g._missing_loop} has no loop")
 
     s_rows, s_labels = src._rows, src.vertices
     t_rows, t_labels = tgt._rows, tgt.vertices
@@ -226,15 +225,16 @@ def split_vertex(
         raise PreconditionViolated(
             f"out_moved contains non-successors of {vertex}: {sorted(outs - out_nbrs)}"
         )
-    arrows = set(graph.arrows)
+    t = len(graph.vertices)
+    rows = list(graph._rows) + [1 << t]
     for a in ins:
-        arrows.discard((a, vertex))
-        arrows.add((a, new_label))
+        j = graph.index(a)
+        rows[j] = rows[j] & ~(1 << i) | 1 << t
     for b in outs:
-        arrows.discard((vertex, b))
-        arrows.add((new_label, b))
-    arrows.add((new_label, new_label))
-    split = DiGraph(graph.vertices + (new_label,), arrows, name=graph.name)
+        j = graph.index(b)
+        rows[i] &= ~(1 << j)
+        rows[t] |= 1 << j
+    split = DiGraph._from_rows(graph.vertices + (new_label,), tuple(rows), graph.name)
     assignment = {v: v for v in graph.vertices}
     assignment[new_label] = vertex
     cmap = CompressionMap(split, graph, assignment)

@@ -39,14 +39,50 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _label_index(vertices: tuple[str, ...]) -> dict[str, int]:
+    """Position of each label; raises on an invalid or repeated label.
+
+    A label is invalid when it is empty, holds whitespace or starts with
+    ``#``.  The first offending label in order is reported.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    joined = " ".join(vertices)
+    # split() gives back the labels themselves exactly when every label is
+    # a non-empty, whitespace-free word; a "#" anywhere takes the slow path
+    if len(index) == len(vertices) and "#" not in joined and joined.split() == list(vertices):
+        return index
+    seen: set[str] = set()
+    for v in vertices:
+        if not v or v[0] == "#" or any(c.isspace() for c in v):
+            raise ValueError(f"invalid vertex label {v!r}")
+        if v in seen:
+            raise DuplicateVertex(v)
+        seen.add(v)
+    return index
+
+
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in bits(row):
+            cols[j] |= bit
+    return tuple(cols)
+
+
 class DiGraph:
     """A finite directed graph: ordered vertex labels plus a set of arrows.
 
     Vertex labels are non-empty, whitespace-free strings that do not start
     with ``#`` (the dg comment marker) and must be distinct.  Arrows are
     ordered pairs of listed labels; loops ``(v, v)`` are ordinary arrows.
-    Equality and hashing are structural (vertex sequence and arrow set);
-    the optional ``name`` is carried along but ignored by comparisons.
+    The arrows are stored only as bit rows: ``_rows[i]`` has bit j set
+    for the arrow from vertex i to vertex j, and ``_cols`` is its
+    transpose.  ``arrows``, the set of label pairs, is derived from the
+    rows on first use.  Equality and hashing are structural (vertex
+    sequence and bit rows, which is the same as vertex sequence and arrow
+    set); the optional ``name`` is carried along but ignored by
+    comparisons.
     """
 
     def __init__(
@@ -55,52 +91,63 @@ class DiGraph:
         arrows: Iterable[tuple[str, str]] = (),
         name: Optional[str] = None,
     ):
-        self.name = name
-        self.vertices = tuple(vertices)
-        index: dict[str, int] = {}
-        for i, v in enumerate(self.vertices):
-            if not v or v[0] == "#" or any(c.isspace() for c in v):
-                raise ValueError(f"invalid vertex label {v!r}")
-            if v in index:
-                raise DuplicateVertex(v)
-            index[v] = i
-        self._index = index
-        n = len(self.vertices)
-        rows = [0] * n
-        cols = [0] * n
-        arrow_set: set[tuple[str, str]] = set()
+        vertices = tuple(vertices)
+        index = _label_index(vertices)
+        rows = [0] * len(vertices)
         for u, w in arrows:
             iu = index.get(u)
-            iw = index.get(w)
             if iu is None:
                 raise UnknownVertex(u)
+            iw = index.get(w)
             if iw is None:
                 raise UnknownVertex(w)
             rows[iu] |= 1 << iw
-            cols[iw] |= 1 << iu
-            arrow_set.add((u, w))
-        self.arrows = frozenset(arrow_set)
-        self._rows = tuple(rows)
-        self._cols = tuple(cols)
+        self._set(vertices, index, tuple(rows), None, name)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        vertices: tuple[str, ...],
+        rows: tuple[int, ...],
+        name: Optional[str] = None,
+        cols: Optional[tuple[int, ...]] = None,
+    ) -> DiGraph:
+        """The graph with these labels and bit rows; ``cols``, when given,
+        must be the transpose of ``rows``.  Does not call ``__init__``."""
+        graph = cls.__new__(cls)
+        graph._set(vertices, _label_index(vertices), rows, cols, name)
+        return graph
+
+    def _set(self, vertices, index, rows, cols, name) -> None:
+        self.name = name
+        self.vertices = vertices
+        self._index = index
+        self._rows = rows
+        self._cols = _transpose(rows) if cols is None else cols
+
+    @functools.cached_property
+    def arrows(self) -> frozenset[tuple[str, str]]:
+        labels = self.vertices
+        return frozenset(
+            (u, labels[j]) for u, row in zip(labels, self._rows) for j in bits(row)
+        )
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.arrows == other.arrows
+        return self.vertices == other.vertices and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows))
+        return hash((self.vertices, self._rows))
 
     def __contains__(self, v: str) -> bool:
         return v in self._index
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
-        return (
-            f"<DiGraph{label} |V|={len(self.vertices)} |A|={len(self.arrows)}>"
-        )
+        return f"<DiGraph{label} |V|={len(self.vertices)} |A|={self.arrow_count()}>"
 
     # -- adjacency --------------------------------------------------------
 
@@ -125,30 +172,46 @@ class DiGraph:
         out = []
         for i, u in enumerate(self.vertices):
             row = self._rows[i]
-            for j in bits(row):
-                if include_loops or i != j:
-                    out.append(Arrow(u, self.vertices[j]))
+            for j in bits(row if include_loops else row & ~(1 << i)):
+                out.append(Arrow(u, self.vertices[j]))
         return out
+
+    def arrow_count(self, include_loops: bool = True) -> int:
+        total = sum(row.bit_count() for row in self._rows)
+        if include_loops:
+            return total
+        return total - sum((row >> i) & 1 for i, row in enumerate(self._rows))
 
     def non_loop_arrows(self) -> frozenset[tuple[str, str]]:
         return frozenset((u, v) for (u, v) in self.arrows if u != v)
 
+    @functools.cached_property
+    def _missing_loop(self) -> Optional[str]:
+        """First vertex (in order) without a loop, or None; the one
+        reflexivity scan, run at most once per graph."""
+        for i, row in enumerate(self._rows):
+            if not (row >> i) & 1:
+                return self.vertices[i]
+        return None
+
     def is_reflexive(self) -> bool:
-        return all((self._rows[i] >> i) & 1 for i in range(len(self.vertices)))
+        return self._missing_loop is None
 
     # -- derived graphs ----------------------------------------------------
 
     def star(self) -> DiGraph:
         """Same vertices, loops dropped."""
-        return DiGraph(self.vertices, self.non_loop_arrows(), name=self.name)
+        rows = tuple(row & ~(1 << i) for i, row in enumerate(self._rows))
+        return DiGraph._from_rows(self.vertices, rows, self.name)
 
     def induced(self, subset: Iterable[str]) -> DiGraph:
         """Induced subgraph on ``subset``, in this graph's vertex order."""
-        chosen = {self.index(v) for v in subset}
-        verts = tuple(v for i, v in enumerate(self.vertices) if i in chosen)
-        keep = set(verts)
-        arrows = [(u, v) for (u, v) in self.arrows if u in keep and v in keep]
-        return DiGraph(verts, arrows, name=self.name)
+        order = sorted({self.index(v) for v in subset})
+        rows = tuple(
+            sum(1 << k for k, j in enumerate(order) if (self._rows[i] >> j) & 1)
+            for i in order
+        )
+        return DiGraph._from_rows(tuple(self.vertices[i] for i in order), rows, self.name)
 
     def transitive_closure(self) -> DiGraph:
         """Smallest transitive supergraph on the same vertices (Warshall)."""
@@ -160,12 +223,7 @@ class DiGraph:
             for i in range(n):
                 if rows[i] & bit:
                     rows[i] |= rk
-        arrows = [
-            (self.vertices[i], self.vertices[j])
-            for i in range(n)
-            for j in bits(rows[i])
-        ]
-        return DiGraph(self.vertices, arrows, name=self.name)
+        return DiGraph._from_rows(self.vertices, tuple(rows), self.name)
 
 
 # -- isomorphism -----------------------------------------------------------
@@ -235,7 +293,7 @@ def is_isomorphic(first: DiGraph, second: DiGraph) -> Optional[VertexBijection]:
     canonical form rejects most non-isomorphic pairs without searching.
     """
     n = len(first.vertices)
-    if n != len(second.vertices) or len(first.arrows) != len(second.arrows):
+    if n != len(second.vertices) or first.arrow_count() != second.arrow_count():
         return None
     if canonical_form(first) != canonical_form(second):
         return None
@@ -299,28 +357,21 @@ def parse_digraph(text: str) -> DiGraph:
     Comment lines starting with ``#`` and blank lines may appear anywhere.
     Under ``loops: auto`` every loop is added; ``explicit`` takes the arrow
     list verbatim.
+
+    Errors come in a fixed order: a faulty line first (the earliest one),
+    then an invalid or repeated vertex label, then the first arrow
+    endpoint, in file order, that is not a listed vertex.
     """
     name: Optional[str] = None
     vertices: Optional[list[str]] = None
     loops_mode: Optional[str] = None
-    in_arrows = False
-    pairs: list[tuple[str, str]] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    lines = enumerate(text.splitlines(), start=1)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if in_arrows:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected '<tail> <head>', got {line!r}")
-            pair = (parts[0], parts[1])
-            if pair in seen_pairs:
-                raise DuplicateArrow(f"line {lineno}: arrow {parts[0]} {parts[1]} repeated")
-            seen_pairs.add(pair)
-            pairs.append(pair)
-        elif line.startswith("digraph:"):
+        if line.startswith("digraph:"):
             if name is not None or vertices is not None:
                 raise ParseError(f"line {lineno}: misplaced 'digraph:'")
             name = line[len("digraph:"):].strip()
@@ -341,19 +392,49 @@ def parse_digraph(text: str) -> DiGraph:
         elif line == "arrows:":
             if vertices is None:
                 raise ParseError(f"line {lineno}: 'arrows:' before 'vertices:'")
-            in_arrows = True
+            break
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-
-    if not in_arrows:
+    else:
         raise ParseError("missing 'arrows:' section")
-    assert vertices is not None
-    if loops_mode is None:
-        loops_mode = "auto"
-    arrow_set: set[tuple[str, str]] = set(pairs)
-    if loops_mode == "auto":
-        arrow_set.update((v, v) for v in vertices)
-    return DiGraph(vertices, arrow_set, name=name)
+
+    # every remaining line is an arrow line; a repeated label is reported
+    # only after them, so each label keeps one (its last) position here
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    rows = [0] * n
+    cols = [0] * n
+    unknown: Optional[str] = None  # first endpoint that is not listed
+    unlisted: set[tuple[str, str]] = set()  # arrows with such an endpoint
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected '<tail> <head>', got {raw.strip()!r}")
+        tail, head = parts
+        i = index.get(tail)
+        j = index.get(head)
+        if i is None or j is None:
+            repeated = (tail, head) in unlisted
+            unlisted.add((tail, head))
+            if unknown is None:
+                unknown = tail if i is None else head
+        else:
+            bit = 1 << j
+            repeated = rows[i] & bit
+            rows[i] |= bit
+            cols[j] |= 1 << i
+        if repeated:
+            raise DuplicateArrow(f"line {lineno}: arrow {tail} {head} repeated")
+    if loops_mode != "explicit":
+        for i in range(n):
+            rows[i] |= 1 << i
+            cols[i] |= 1 << i
+    graph = DiGraph._from_rows(tuple(vertices), tuple(rows), name, tuple(cols))
+    if unknown is not None:
+        raise UnknownVertex(unknown)
+    return graph
 
 
 # DOT identifiers that need no quotes: a word of letters, digits and
@@ -375,14 +456,10 @@ def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
         if graph.name:
             lines.append(f"digraph: {graph.name}")
         lines.append(("vertices: " + " ".join(graph.vertices)).rstrip())
-        if graph.is_reflexive():
-            lines.append("loops: auto")
-            arrows = graph.star().sorted_arrows()
-        else:
-            lines.append("loops: explicit")
-            arrows = graph.sorted_arrows()
+        reflexive = graph.is_reflexive()
+        lines.append("loops: auto" if reflexive else "loops: explicit")
         lines.append("arrows:")
-        lines.extend(f"{u} {v}" for u, v in arrows)
+        lines.extend(f"{u} {v}" for u, v in graph.sorted_arrows(include_loops=not reflexive))
         return "\n".join(lines) + "\n"
     if fmt == "dot":
 
@@ -393,7 +470,7 @@ def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
         if not re.fullmatch(_DOT_ID, name) or name.lower() in _DOT_KEYWORDS:
             name = quoted(name)
         lines = [f"digraph {name} {{"]
-        for u, v in graph.star().sorted_arrows():
+        for u, v in graph.sorted_arrows(include_loops=False):
             lines.append(f"  {quoted(u)} -> {quoted(v)};")
         lines.append("}")
         return "\n".join(lines) + "\n"

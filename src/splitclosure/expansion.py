@@ -106,11 +106,17 @@ class IterationRecord:
     def apply(self, graph: DiGraph) -> DiGraph:
         """The graph this split turns ``graph`` into: the new vertex comes
         last, with a loop, and the removed arrows give way to the added."""
-        arrows = set(graph.arrows)
-        arrows.difference_update(self.removed)
-        arrows.update(self.added)
-        arrows.add((self.new_vertex, self.new_vertex))
-        return DiGraph(graph.vertices + (self.new_vertex,), arrows, name=graph.name)
+        t = len(graph.vertices)
+        rows = list(graph._rows) + [1 << t]
+
+        def at(v: str) -> int:
+            return t if v == self.new_vertex else graph.index(v)
+
+        for u, v in self.removed:
+            rows[at(u)] &= ~(1 << at(v))
+        for u, v in self.added:
+            rows[at(u)] |= 1 << at(v)
+        return DiGraph._from_rows(graph.vertices + (self.new_vertex,), tuple(rows), graph.name)
 
     def to_json(self) -> dict:
         record: dict = {
@@ -479,9 +485,9 @@ class _SplitState:
         """The current graph; the input graph itself when nothing was split."""
         if len(self.vertices) == len(self.source.vertices):
             return self.source
-        labels = self.vertices
-        arrows = [(labels[i], labels[j]) for i, row in enumerate(self._rows) for j in bits(row)]
-        return DiGraph(labels, arrows, name=self.source.name)
+        return DiGraph._from_rows(
+            tuple(self.vertices), tuple(self._rows), self.source.name, tuple(self._cols)
+        )
 
     def mapping(self, result: DiGraph) -> CompressionMap:
         """The composite map from ``result`` onto the input graph."""
@@ -514,7 +520,7 @@ def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:
     failed re-check along the way, raises InternalInvariantBreached.
     """
     state = _SplitState(graph, _check_preconditions(graph))
-    cap = len(graph.vertices) + 2 * len(graph.non_loop_arrows())
+    cap = len(graph.vertices) + 2 * graph.arrow_count(include_loops=False)
     trace: list[IterationRecord] = []
     while state.clasp_mask:
         if len(trace) >= cap:
@@ -530,6 +536,6 @@ def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:
     verdict = verify_compression(composite)
     if not verdict.valid:
         raise InternalInvariantBreached(f"composite map invalid: {verdict.describe()}")
-    if len(result.non_loop_arrows()) != len(graph.non_loop_arrows()):
+    if result.arrow_count(include_loops=False) != graph.arrow_count(include_loops=False):
         raise InternalInvariantBreached("non-loop arrow count changed")
     return ExpansionOutcome(result, composite, tuple(trace))

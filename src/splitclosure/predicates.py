@@ -17,14 +17,11 @@ from .errors import NotReflexive
 
 def missing_loop(graph: DiGraph) -> Optional[str]:
     """First vertex (in order) without a loop, or None."""
-    for i, v in enumerate(graph.vertices):
-        if not (graph._rows[i] >> i) & 1:
-            return v
-    return None
+    return graph._missing_loop
 
 
 def is_reflexive(graph: DiGraph) -> bool:
-    return missing_loop(graph) is None
+    return graph.is_reflexive()
 
 
 def _require_reflexive(graph: DiGraph) -> None:

@@ -14,6 +14,7 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -269,3 +270,28 @@ class TestPropertyReport:
             calls.clear()
             property_report(g)
             assert len(calls) == 1
+
+    def test_one_reflexivity_scan_per_report(self, monkeypatch):
+        import functools
+
+        from splitclosure import clasps, locked_status, soloists
+
+        scans = []
+        scan = DiGraph._missing_loop.func
+
+        def counting(graph):
+            scans.append(graph)
+            return scan(graph)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(DiGraph, "_missing_loop")
+        monkeypatch.setattr(DiGraph, "_missing_loop", counted)
+        result = parse_digraph((GOLDEN / "layered-0.result.dg").read_text(encoding="utf-8"))
+        report = property_report(result)
+        assert report.reflexive and report.clasps == () and scans == [result]
+        # the checks still refuse a non-reflexive graph when called directly
+        loopless = DiGraph("ab", [("a", "b"), ("b", "b")])
+        for check in (is_balanced, is_stable, clasps, soloists, lambda g: locked_status(g, "b")):
+            with pytest.raises(NotReflexive, match="^a$"):
+                check(loopless)
+        assert scans == [result, loopless]

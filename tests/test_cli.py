@@ -303,6 +303,23 @@ def test_module_entry_point(files):
     assert "transitive: no (witness x, y, z)" in proc.stdout
 
 
+def test_unknown_endpoint_report_ignores_the_hash_seed(tmp_path):
+    path = tmp_path / "unlisted.dg"
+    path.write_text("vertices: a b\narrows:\na x\ny b\nz q\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for seed in range(1, 7):
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitclosure", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: x\n"), seed
+
+
 def test_expand_roundtrip_through_files(files, tmp_path, capsys):
     out_dg = tmp_path / "r.dg"
     assert main(["expand", files["ex"], "-o", str(out_dg)]) == 0

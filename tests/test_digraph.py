@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,34 @@ class TestEmit:
         pairs = [(u, v) for u in labels for v in labels]
         g = DiGraph(labels, data.draw(st.sets(st.sampled_from(pairs))))
         assert parse_digraph(emit_digraph(g)) == g
+
+    @given(
+        st.lists(
+            st.text(ADVERSARIAL_CHARS, min_size=1, max_size=4),
+            min_size=300,
+            max_size=650,
+            unique=True,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_large_graphs_with_odd_labels_round_trip(self, labels, data):
+        # the whole list is refused at its first bad label; the accepted
+        # labels make a graph of 100-300 vertices that survives dg text
+        bad = [v for v in labels if v[0] == "#" or any(c.isspace() for c in v)]
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(repr(bad[0]))):
+                DiGraph(labels, [])
+        accepted = [v for v in labels if v not in bad][:300]
+        if len(accepted) < 100:
+            return
+        n = len(accepted)
+        index = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=3 * n))
+        g = DiGraph(accepted, [(accepted[i], accepted[j]) for i, j in pairs], name="big")
+        assert parse_digraph(emit_digraph(g)) == g
+        looped = DiGraph(accepted, g.arrows | {(v, v) for v in accepted})  # emitted as loops: auto
+        assert parse_digraph(emit_digraph(looped)) == looped
 
     def test_hash_labels_are_refused(self):
         # "#a b" would read back as a comment and lose the arrow
@@ -363,3 +393,58 @@ class TestConstruction:
     def test_sorted_arrows_follow_vertex_order(self, two_clasps):
         arrows = two_clasps.sorted_arrows(include_loops=False)
         assert arrows[0] == ("1", "2") and arrows[-1] == ("4", "7")
+
+
+class TestRowsConstruction:
+    @given(digraphs(max_n=6))
+    def test_rows_and_pairs_build_the_same_graph(self, g):
+        from_rows = DiGraph._from_rows(g.vertices, g._rows, name="r")
+        assert from_rows == g and hash(from_rows) == hash(g)
+        assert from_rows._cols == g._cols and from_rows.arrows == g.arrows
+        assert DiGraph(g.vertices, from_rows.arrows)._rows == g._rows
+        for j, col in enumerate(g._cols):
+            assert col == sum(1 << i for i, row in enumerate(g._rows) if (row >> j) & 1)
+
+    @given(digraphs(max_n=3), digraphs(max_n=3))
+    def test_equality_means_same_vertices_and_arrows(self, g1, g2):
+        same = (g1.vertices, g1.arrows) == (g2.vertices, g2.arrows)
+        assert (g1 == g2) == same
+        if same:
+            assert hash(g1) == hash(g2)
+
+    def test_arrows_are_derived_on_first_use(self):
+        g = parse_digraph(PATH_TEXT)
+        assert "arrows" not in vars(g)
+        assert g.arrows == {("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "z")}
+        assert g.arrows is g.arrows
+        assert g.arrow_count() == 5 and g.arrow_count(include_loops=False) == 2
+
+    def test_label_errors_keep_their_order(self):
+        for vertices, error in [
+            (("b c", "a", "a"), ValueError),
+            (("a", "a", "b c"), DuplicateVertex),
+            (("a", "#b", "a"), ValueError),
+            (("a", "a", ""), DuplicateVertex),
+        ]:
+            with pytest.raises(error):
+                DiGraph(vertices, [])
+            with pytest.raises(error):
+                DiGraph._from_rows(vertices, (0,) * len(vertices))
+
+    def test_check_expand_and_verify_build_neither_arrows_nor_pairs(self, monkeypatch):
+        from pathlib import Path
+
+        from splitclosure import expand_to_preorder, property_report, verify_compression
+
+        calls = []
+        monkeypatch.setattr(DiGraph, "__init__", lambda *args, **kw: calls.append(args))
+        text = (Path(__file__).parent / "golden" / "layered-0.dg").read_text(encoding="utf-8")
+        graph = parse_digraph(text)
+        property_report(graph)
+        outcome = expand_to_preorder(graph)
+        property_report(outcome.result)
+        assert verify_compression(outcome.mapping).valid
+        emit_digraph(outcome.result, "dg")
+        emit_digraph(outcome.result, "dot")
+        assert calls == []
+        assert "arrows" not in vars(graph) and "arrows" not in vars(outcome.result)
