@@ -40,24 +40,19 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def _label_index(vertices: tuple[str, ...]) -> dict[str, int]:
-    """Position of each label; raises on an invalid or repeated label.
+    """Position of each label; raises at the first invalid or repeated one.
 
     A label is invalid when it is empty, holds whitespace or starts with
-    ``#``.  The first offending label in order is reported.
+    ``#``.
     """
-    index = {v: i for i, v in enumerate(vertices)}
-    joined = " ".join(vertices)
-    # split() gives back the labels themselves exactly when every label is
-    # a non-empty, whitespace-free word; a "#" anywhere takes the slow path
-    if len(index) == len(vertices) and "#" not in joined and joined.split() == list(vertices):
-        return index
-    seen: set[str] = set()
-    for v in vertices:
-        if not v or v[0] == "#" or any(c.isspace() for c in v):
+    index: dict[str, int] = {}
+    for i, v in enumerate(vertices):
+        # split() gives back [v] exactly when v is a non-empty, whitespace-free word
+        if v.split() != [v] or v[0] == "#":
             raise ValueError(f"invalid vertex label {v!r}")
-        if v in seen:
+        if v in index:
             raise DuplicateVertex(v)
-        seen.add(v)
+        index[v] = i
     return index
 
 
@@ -127,6 +122,7 @@ class DiGraph:
 
     @functools.cached_property
     def arrows(self) -> frozenset[tuple[str, str]]:
+        """Every arrow as a (tail, head) label pair, derived once."""
         labels = self.vertices
         return frozenset(
             (u, labels[j]) for u, row in zip(labels, self._rows) for j in bits(row)

@@ -9,6 +9,7 @@ witness, exception type and message must agree with them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -26,11 +27,14 @@ from splitclosure import (
     DomainMismatch,
     InternalInvariantBreached,
     NotReflexive,
+    clasps,
     graph_from_mask,
     is_balanced,
     is_stable,
+    locked_status,
     parse_digraph,
     property_report,
+    soloists,
     verify_compression,
 )
 from splitclosure.census import _classes_by_witness, canonical_masks
@@ -272,10 +276,6 @@ class TestPropertyReport:
             assert len(calls) == 1
 
     def test_one_reflexivity_scan_per_report(self, monkeypatch):
-        import functools
-
-        from splitclosure import clasps, locked_status, soloists
-
         scans = []
         scan = DiGraph._missing_loop.func
 

@@ -289,10 +289,16 @@ def test_verify_missing_map_file_exits_one(files, capsys, tmp_path):
     assert code == 1 and "i/o error" in captured.err
 
 
-def test_module_entry_point(files):
+def _child_env() -> dict:
+    """This process's environment with the checkout's ``src`` on the path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point(files):
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "splitclosure", "check", files["path"]],
         capture_output=True,
@@ -306,9 +312,7 @@ def test_module_entry_point(files):
 def test_unknown_endpoint_report_ignores_the_hash_seed(tmp_path):
     path = tmp_path / "unlisted.dg"
     path.write_text("vertices: a b\narrows:\na x\ny b\nz q\n")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _child_env()
     for seed in range(1, 7):
         env["PYTHONHASHSEED"] = str(seed)
         proc = subprocess.run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from splitclosure import (
     ParseError,
     UnknownVertex,
     emit_digraph,
+    expand_to_preorder,
     is_isomorphic,
     is_star_acyclic,
     parse_digraph,
+    property_report,
+    verify_compression,
 )
 
 # comment marker, directive colon, DOT metacharacters, and whitespace
@@ -432,10 +436,6 @@ class TestRowsConstruction:
                 DiGraph._from_rows(vertices, (0,) * len(vertices))
 
     def test_check_expand_and_verify_build_neither_arrows_nor_pairs(self, monkeypatch):
-        from pathlib import Path
-
-        from splitclosure import expand_to_preorder, property_report, verify_compression
-
         calls = []
         monkeypatch.setattr(DiGraph, "__init__", lambda *args, **kw: calls.append(args))
         text = (Path(__file__).parent / "golden" / "layered-0.dg").read_text(encoding="utf-8")

@@ -17,8 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitclosure import DiGraph, DuplicateArrow, DuplicateVertex, ParseError, UnknownVertex
-from splitclosure.digraph import parse_digraph
+from splitclosure import (
+    DiGraph,
+    DuplicateArrow,
+    DuplicateVertex,
+    ParseError,
+    UnknownVertex,
+    parse_digraph,
+)
 
 
 def reference_parse(text: str) -> DiGraph:
