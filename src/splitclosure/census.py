@@ -281,7 +281,7 @@ def minimal_obstructions(predicate: str, n_max: int) -> ObstructionSet:
                     break
             if minimal:
                 name = f"{predicate}-obstruction-{len(members) + 1}"
-                members.append(graph_from_mask(n, mask, name))
+                members.append(DiGraph._from_rows(graph.vertices, graph._rows, name, graph._cols))
     return ObstructionSet(predicate, n_max, tuple(members))
 
 
