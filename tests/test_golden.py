@@ -7,8 +7,9 @@ one rule B split); ``layered-0`` is a 135-vertex three-layer DAG plus
 three five-vertex classes whose expansion uses rule B, with 49 splits.
 
 The ``census-*`` files pin the stdout of the census subcommand: the
-n <= 5 theorem sweep, the three obstruction sets at their CLI bounds, and
-the class counts.
+theorem sweeps at n <= 3, 4 and 5, the three obstruction sets at their
+CLI bounds, and the class counts at n <= 3 and 5.  The n <= 3 and 4
+sweeps and counts are the census invocations of acceptance criterion 9.
 
 The ``*.check.txt``/``*.check.json`` files pin ``check`` and
 ``check --json`` on both ends of the ``layered-0`` expansion and on a
@@ -38,6 +39,8 @@ def test_expand_output_is_pinned(stem, tmp_path):
 
 
 CENSUS_PINS = [
+    ("census-validate-3.txt", ["--max-vertices", "3", "--validate"]),
+    ("census-validate-4.txt", ["--max-vertices", "4", "--validate"]),
     ("census-validate-5.txt", ["--max-vertices", "5", "--validate"]),
     ("census-obstructions-balanced-4.json", ["--max-vertices", "4", "--obstructions", "balanced"]),
     (
@@ -48,6 +51,7 @@ CENSUS_PINS = [
         "census-obstructions-unlocked-given-stable-5.json",
         ["--max-vertices", "5", "--obstructions", "unlocked-given-stable"],
     ),
+    ("census-count-3.txt", ["--max-vertices", "3", "--count"]),
     ("census-count-5.txt", ["--max-vertices", "5", "--count"]),
 ]
 
