@@ -23,11 +23,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .compression import CompressionMap, verify_compression
-from .digraph import DiGraph, _canonical_packed, _packed_matrix, bits, emit_digraph
-from .errors import BoundExceeded, NotReflexive
+from .compression import CompressionMap, split_vertex, verify_compression
+from .digraph import DiGraph, _canonical_packed, _packed_matrix, bits, emit_digraph, is_star_acyclic
+from .errors import BoundExceeded, InvalidSplit, NotReflexive
 from .expansion import ExpansionOutcome, expand_to_preorder
 from .predicates import (
     _balance_witness,
@@ -382,6 +382,13 @@ class CheckResult:
     counterexample: Optional[str] = None  # dg text of the offending graph
     detail: Optional[str] = None
 
+    @property
+    def status(self) -> str:
+        """FAIL, else vacuous for a check that saw no instances, else pass."""
+        if not self.passed:
+            return "FAIL"
+        return "pass" if self.instances else "vacuous"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -402,6 +409,7 @@ class ValidationReport:
                 {
                     "name": c.name,
                     "passed": c.passed,
+                    "status": c.status,
                     "instances": c.instances,
                     "counterexample": c.counterexample,
                     "detail": c.detail,
@@ -417,8 +425,7 @@ class ValidationReport:
             + ", ".join(str(c) for c in self.classes_scanned)
         )
         for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            line = f"check {c.name}: {status} ({c.instances} instances)"
+            line = f"check {c.name}: {c.status} ({c.instances} instances)"
             if not c.passed and c.detail:
                 line += f" -- {c.detail}"
             lines.append(line)
@@ -426,62 +433,46 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+# Per pattern: where the soloist s sits in the transitive triple (p, q, r),
+# what violation messages call the other two vertices, and the order of the
+# biconditionals (0: on each d with r->d, 1: on each x with x->p), each with
+# the name messages give its witness.  The other two vertices are distinct:
+# in (a, s, a) the vertex a would pair with s.
+_SOLOIST_PATTERNS = (
+    ("1", 2, "ab", ((0, "c"), (1, "x"))),  # (a, b, s)
+    ("2", 1, "ac", ((1, "x"), (0, "d"))),  # (a, s, c)
+    ("3", 0, "bc", ((0, "d"), (1, "a"))),  # (s, b, c)
+)
+
+
 def _soloist_lemma_instances(graph: DiGraph) -> tuple[int, Optional[str]]:
-    """Check all six soloist biconditionals; returns (count, violation)."""
-    verts = graph.vertices
+    """Check the soloist lemma on every transitive triple (p, q, r) through a
+    soloist: p and q agree on every d with r->d, and q and r agree on every
+    x with x->p.  Returns (biconditionals checked, first violation)."""
+    labels, rows, cols = graph.vertices, graph._rows, graph._cols
     solo = set(soloists(graph))
-    has = graph.has_arrow
     checked = 0
-    for s in verts:
-        if s not in solo:
+    for s, label in enumerate(labels):
+        if label not in solo:
             continue
-        others = [v for v in verts if v != s]
-        for a in others:
-            for b in others:
-                if a != b and has(a, b) and has(b, s) and has(a, s):
-                    # pattern 1: (a, b, s) transitive
-                    for c in verts:
-                        if has(s, c):
-                            checked += 1
-                            if has(a, c) != has(b, c):
-                                return checked, f"1(a) at s={s} a={a} b={b} c={c}"
-                    for x in verts:
-                        if has(x, a):
-                            checked += 1
-                            if has(x, s) != has(x, b):
-                                return checked, f"1(b) at s={s} a={a} b={b} x={x}"
-        for a in others:
-            if not has(a, s):
-                continue
-            for c in others:
-                if has(s, c) and has(a, c):
-                    # pattern 2: (a, s, c) transitive
-                    for x in verts:
-                        if has(x, a):
-                            checked += 1
-                            if has(x, c) != has(x, s):
-                                return checked, f"2(a) at s={s} a={a} c={c} x={x}"
-                    for d in verts:
-                        if has(c, d):
-                            checked += 1
-                            if has(a, d) != has(s, d):
-                                return checked, f"2(b) at s={s} a={a} c={c} d={d}"
-        for b in others:
-            if not has(s, b):
-                continue
-            for c in others:
-                if b != c and has(b, c) and has(s, c):
-                    # pattern 3: (s, b, c) transitive
-                    for d in verts:
-                        if has(c, d):
-                            checked += 1
-                            if has(b, d) != has(s, d):
-                                return checked, f"3(a) at s={s} b={b} c={c} d={d}"
-                    for a in verts:
-                        if has(a, s):
-                            checked += 1
-                            if has(a, b) != has(a, c):
-                                return checked, f"3(b) at s={s} b={b} c={c} a={a}"
+        others = [v for v in range(len(labels)) if v != s]
+        for pattern, at, names, order in _SOLOIST_PATTERNS:
+            for u, w in itertools.permutations(others, 2):
+                p, q, r = (u, w)[:at] + (s,) + (u, w)[at:]
+                if not (rows[p] >> q) & (rows[q] >> r) & (rows[p] >> r) & 1:
+                    continue
+                # per biconditional: its witnesses, and where the two sides differ
+                tests = ((rows[r], rows[p] ^ rows[q]), (cols[p], cols[q] ^ cols[r]))
+                for tag, (k, name) in zip("ab", order):
+                    scope, differ = tests[k]
+                    bad = scope & differ
+                    if bad:
+                        low = bad & -bad
+                        return checked + (scope & (low - 1)).bit_count() + 1, (
+                            f"{pattern}({tag}) at s={label} {names[0]}={labels[u]} "
+                            f"{names[1]}={labels[w]} {name}={labels[low.bit_length() - 1]}"
+                        )
+                    checked += scope.bit_count()
     return checked, None
 
 
@@ -537,6 +528,118 @@ def _replay_step_maps(outcome: ExpansionOutcome) -> list[CompressionMap]:
     return maps
 
 
+# A check's cases: (graph, instances seen, problem or None) per step.
+_Cases = Iterable[tuple[DiGraph, int, Optional[str]]]
+
+
+def _run_check(name: str, cases: _Cases) -> CheckResult:
+    """Sum the instances of a check's cases up to its first problem, whose
+    graph becomes the counterexample."""
+    instances = 0
+    for graph, seen, problem in cases:
+        instances += seen
+        if problem is not None:
+            return CheckResult(name, False, instances, emit_digraph(graph), problem)
+    return CheckResult(name, True, instances)
+
+
+def _positive_cases(unlocked: list[DiGraph], outcomes: list) -> _Cases:
+    """(a) Every stable all-unlocked class expands; each expansion that
+    holds is left in ``outcomes`` for check (e)."""
+    for graph in unlocked:
+        try:
+            outcome = expand_to_preorder(graph)
+        except Exception as exc:  # any breach is a counterexample
+            yield graph, 1, f"expansion raised: {exc}"
+            return
+        result = outcome.result
+        arrows = graph.arrow_count(include_loops=False)
+        problem = None
+        if not is_preordered(result):
+            problem = "result not preordered"
+        elif not is_stable(result)[0]:
+            problem = "result not stable"
+        elif result.arrow_count(include_loops=False) != arrows:
+            problem = "non-loop arrows not conserved"
+        elif outcome.iterations > len(graph.vertices) + 2 * arrows:
+            problem = "iteration cap exceeded"
+        else:
+            outcomes.append((graph, outcome))
+        yield graph, 1, problem
+
+
+def _negative_cases(locked: list[DiGraph]) -> _Cases:
+    """(b) The bounded oracle finds no expansion of a stable locked class
+    (these start at five vertices, where 5 + 3 fits the oracle)."""
+    for graph in locked:
+        found = oracle_preorder_expansion(graph, 3) is not None
+        yield graph, 1, "bounded oracle found an expansion of a locked graph" if found else None
+
+
+def _clasp_cases(stable: list[DiGraph]) -> _Cases:
+    """(c) Every clasp of a stable graph is a soloist."""
+    for graph in stable:
+        ok = set(clasp_vertices(graph)) <= set(soloists(graph))
+        yield graph, 1, None if ok else "clasp that is not a soloist"
+
+
+def _soloist_cases(stable: list[DiGraph]) -> _Cases:
+    """(d) The soloist biconditionals, counted one by one."""
+    for graph in stable:
+        yield (graph, *_soloist_lemma_instances(graph))
+
+
+def _all_splits(graph: DiGraph) -> Iterator[CompressionMap]:
+    """The map of every valid split of every vertex back onto ``graph``."""
+    def subsets(items: list[str]) -> list[tuple[str, ...]]:
+        return [c for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+    for vertex in graph.vertices:
+        ins = subsets([u for u in graph.in_neighbors(vertex) if u != vertex])
+        outs = subsets([u for u in graph.out_neighbors(vertex) if u != vertex])
+        for moved_in, moved_out in itertools.product(ins, outs):
+            try:
+                yield split_vertex(graph, vertex, moved_in, moved_out, "t1")[1]
+            except InvalidSplit:
+                pass
+
+
+def _compression_cases(outcomes: list, n_max: int) -> _Cases:
+    """(e) The compression theorem and transitive-inducing on every step
+    map and whole map of check (a)'s expansions, then on every valid split
+    of every class up to three vertices."""
+    for graph, outcome in outcomes:
+        memo: dict[DiGraph, tuple[bool, bool, bool, bool]] = {}
+        for cmap in _replay_step_maps(outcome) + [outcome.mapping]:
+            yield graph, 1, _compression_theorem_holds(cmap, memo)
+    for n in range(1, min(3, n_max) + 1):
+        for mask in canonical_masks(n):
+            graph = graph_from_mask(n, mask, name=f"c{n}-{mask}")
+            memo = {}
+            for cmap in _all_splits(graph):
+                yield graph, 1, _compression_theorem_holds(cmap, memo)
+
+
+def _corollary_cases(unlocked: list[DiGraph], locked: list[DiGraph], n_max: int) -> _Cases:
+    """(f) A star-acyclic stable class contains none of the star-acyclic
+    obstructions exactly when it is all-unlocked."""
+    obstructions = [
+        member
+        for predicate, bound in (
+            ("balanced", min(4, n_max)),
+            ("stable-given-balanced", min(4, n_max)),
+            ("unlocked-given-stable", min(5, n_max)),
+        )
+        for member in minimal_obstructions(predicate, bound).members
+        if is_star_acyclic(member)
+    ]
+    for graph, expected in [(g, True) for g in unlocked] + [(g, False) for g in locked]:
+        if is_star_acyclic(graph):
+            free = not any(contains_induced(graph, h) for h in obstructions)
+            problem = f"obstruction-free={free} but compression-of-preordered={expected}"
+            yield graph, 1, None if free == expected else problem
+
+
 def validate_theorems(n_max: int) -> ValidationReport:
     """Sweep the census and re-check every supported theorem.
 
@@ -547,203 +650,20 @@ def validate_theorems(n_max: int) -> ValidationReport:
     if not 1 <= n_max <= 5:
         raise BoundExceeded(f"validation bound {n_max} outside 1..5")
     counts = [len(canonical_masks(n)) for n in range(1, n_max + 1)]
-    stable_all = [
+    stable = [
         graph_from_mask(n, mask, name=f"c{n}-{mask}")
         for n in range(1, n_max + 1)
         for mask in _classes_by_witness(n)[None]
     ]
-    stable_unlocked: list[DiGraph] = []
-    stable_locked: list[DiGraph] = []
-    for graph in stable_all:
-        if any(r.locked for r in clasps(graph)):
-            stable_locked.append(graph)
-        else:
-            stable_unlocked.append(graph)
-
-    checks = []
-
-    # (a) positive direction: every stable all-unlocked class expands.
+    locked = [graph for graph in stable if any(r.locked for r in clasps(graph))]
+    unlocked = [graph for graph in stable if graph not in locked]
     outcomes: list[tuple[DiGraph, ExpansionOutcome]] = []
-    failure = None
-    for graph in stable_unlocked:
-        try:
-            outcome = expand_to_preorder(graph)
-        except Exception as exc:  # any breach is a counterexample
-            failure = (graph, f"expansion raised: {exc}")
-            break
-        result = outcome.result
-        if not is_preordered(result):
-            failure = (graph, "result not preordered")
-            break
-        if not is_stable(result)[0]:
-            failure = (graph, "result not stable")
-            break
-        if result.arrow_count(include_loops=False) != graph.arrow_count(include_loops=False):
-            failure = (graph, "non-loop arrows not conserved")
-            break
-        cap = len(graph.vertices) + 2 * graph.arrow_count(include_loops=False)
-        if outcome.iterations > cap:
-            failure = (graph, "iteration cap exceeded")
-            break
-        outcomes.append((graph, outcome))
-    checks.append(
-        CheckResult(
-            "main-theorem-positive",
-            failure is None,
-            len(stable_unlocked),
-            emit_digraph(failure[0]) if failure else None,
-            failure[1] if failure else None,
-        )
+    checks = (  # in order: check (e) reads the outcomes check (a) leaves
+        _run_check("main-theorem-positive", _positive_cases(unlocked, outcomes)),
+        _run_check("main-theorem-negative-consistency", _negative_cases(locked)),
+        _run_check("clasp-implies-soloist", _clasp_cases(stable)),
+        _run_check("soloist-lemma", _soloist_cases(stable)),
+        _run_check("compression-theorem", _compression_cases(outcomes, n_max)),
+        _run_check("corollary-acyclic-star", _corollary_cases(unlocked, locked, n_max)),
     )
-
-    # (b) negative direction, bounded consistency on every stable locked
-    # class (these start at five vertices, where 5 + 3 fits the oracle).
-    failure = None
-    for graph in stable_locked:
-        if oracle_preorder_expansion(graph, 3) is not None:
-            failure = (graph, "bounded oracle found an expansion of a locked graph")
-            break
-    checks.append(
-        CheckResult(
-            "main-theorem-negative-consistency",
-            failure is None,
-            len(stable_locked),
-            emit_digraph(failure[0]) if failure else None,
-            failure[1] if failure else None,
-        )
-    )
-
-    # (c) every clasp of a stable graph is a soloist.
-    failure = None
-    for graph in stable_all:
-        if not set(clasp_vertices(graph)) <= set(soloists(graph)):
-            failure = (graph, "clasp that is not a soloist")
-            break
-    checks.append(
-        CheckResult(
-            "clasp-implies-soloist",
-            failure is None,
-            len(stable_all),
-            emit_digraph(failure[0]) if failure else None,
-            failure[1] if failure else None,
-        )
-    )
-
-    # (d) soloist biconditionals.
-    failure = None
-    instances = 0
-    for graph in stable_all:
-        checked, violation = _soloist_lemma_instances(graph)
-        instances += checked
-        if violation is not None:
-            failure = (graph, violation)
-            break
-    checks.append(
-        CheckResult(
-            "soloist-lemma",
-            failure is None,
-            instances,
-            emit_digraph(failure[0]) if failure else None,
-            failure[1] if failure else None,
-        )
-    )
-
-    # (e) compression theorem and transitive-inducing on generated maps.
-    failure = None
-    map_count = 0
-    for graph, outcome in outcomes:
-        memo: dict[DiGraph, tuple[bool, bool, bool, bool]] = {}
-        for cmap in _replay_step_maps(outcome) + [outcome.mapping]:
-            map_count += 1
-            problem = _compression_theorem_holds(cmap, memo)
-            if problem is not None:
-                failure = (graph, problem)
-                break
-        if failure:
-            break
-    if failure is None:
-        from .compression import split_vertex
-        from .errors import InvalidSplit
-
-        for n in range(1, min(3, n_max) + 1):
-            for graph in enumerate_reflexive(n, "up-to-iso"):
-                memo = {}
-                for vertex in graph.vertices:
-                    ins = [u for u in graph.in_neighbors(vertex) if u != vertex]
-                    outs = [u for u in graph.out_neighbors(vertex) if u != vertex]
-                    for r in range(len(ins) + 1):
-                        for ins_sub in itertools.combinations(ins, r):
-                            for q in range(len(outs) + 1):
-                                for outs_sub in itertools.combinations(outs, q):
-                                    try:
-                                        _, cmap = split_vertex(
-                                            graph, vertex, ins_sub, outs_sub, "t1"
-                                        )
-                                    except InvalidSplit:
-                                        continue
-                                    map_count += 1
-                                    problem = _compression_theorem_holds(cmap, memo)
-                                    if problem is not None:
-                                        failure = (graph, problem)
-                                        break
-                                if failure:
-                                    break
-                            if failure:
-                                break
-                        if failure:
-                            break
-                    if failure:
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-    checks.append(
-        CheckResult(
-            "compression-theorem",
-            failure is None,
-            map_count,
-            emit_digraph(failure[0]) if failure else None,
-            failure[1] if failure else None,
-        )
-    )
-
-    # (f) corollary consistency on acyclic-star members with known status.
-    from .digraph import is_star_acyclic
-
-    obstructions = []
-    for predicate, bound in (
-        ("balanced", min(4, n_max)),
-        ("stable-given-balanced", min(4, n_max)),
-        ("unlocked-given-stable", min(5, n_max)),
-    ):
-        for member in minimal_obstructions(predicate, bound).members:
-            if is_star_acyclic(member):
-                obstructions.append(member)
-    failure = None
-    instances = 0
-    statuses = [(g, True) for g in stable_unlocked] + [
-        (g, False) for g in stable_locked
-    ]
-    for graph, expected in statuses:
-        if not is_star_acyclic(graph):
-            continue
-        instances += 1
-        free = not any(contains_induced(graph, h) for h in obstructions)
-        if free != expected:
-            failure = (
-                graph,
-                f"obstruction-free={free} but compression-of-preordered={expected}",
-            )
-            break
-    checks.append(
-        CheckResult(
-            "corollary-acyclic-star",
-            failure is None,
-            instances,
-            emit_digraph(failure[0]) if failure else None,
-            failure[1] if failure else None,
-        )
-    )
-
-    return ValidationReport(n_max, tuple(counts), tuple(checks))
+    return ValidationReport(n_max, tuple(counts), checks)

@@ -23,9 +23,11 @@ from splitclosure import (
     mask_from_graph,
     minimal_obstructions,
     oracle_preorder_expansion,
+    parse_digraph,
     validate_theorems,
     verify_compression,
 )
+from splitclosure import census
 from splitclosure.census import (
     _apply_chunks,
     _classes_by_witness,
@@ -33,6 +35,8 @@ from splitclosure.census import (
     _perm_chunk_tables,
     canonical_masks,
 )
+from splitclosure.cli import EXIT_PROPERTY
+from splitclosure.cli import main as cli_main
 from splitclosure.predicates import _balance_witness, _stability_witness
 
 # Up-to-isomorphism counts of reflexive digraphs, frozen from direct
@@ -308,6 +312,23 @@ class TestOracle:
                 assert oracle_preorder_expansion(g, added) is not None
 
 
+def _raise(*args):
+    raise RuntimeError("injected")
+
+
+# Per check: a census dependency broken so that the check must fail, and the
+# smallest sweep with an instance to fail on (no stable class has a locked
+# clasp below five vertices, and no star-acyclic obstruction is below four).
+BROKEN_DEPENDENCIES = [
+    ("main-theorem-positive", "expand_to_preorder", _raise, 3),
+    ("main-theorem-negative-consistency", "oracle_preorder_expansion", lambda g, k: (g, None), 5),
+    ("clasp-implies-soloist", "soloists", lambda g: (), 3),
+    ("soloist-lemma", "_soloist_lemma_instances", lambda g: (1, "injected"), 3),
+    ("compression-theorem", "_compression_theorem_holds", lambda cmap, memo: "injected", 3),
+    ("corollary-acyclic-star", "contains_induced", lambda g, h: True, 4),
+]
+
+
 class TestValidateTheorems:
     def test_small_sweep_passes(self):
         report = validate_theorems(3)
@@ -351,10 +372,45 @@ class TestValidateTheorems:
             classes_scanned=(1, 3),
             checks=(
                 CheckResult("demo", False, 3, "vertices: a\narrows:\n", "boom"),
+                CheckResult("empty", True, 0),
+                CheckResult("seen", True, 2),
             ),
         )
         assert not report.passed
         text = report.render_text()
         assert "check demo: FAIL (3 instances) -- boom" in text
+        assert "check empty: vacuous (0 instances)" in text
+        assert "check seen: pass (2 instances)" in text
         assert text.strip().endswith("overall: FAIL")
-        assert report.to_json()["checks"][0]["counterexample"] is not None
+        checks = report.to_json()["checks"]
+        assert checks[0]["counterexample"] is not None
+        assert [c["status"] for c in checks] == ["FAIL", "vacuous", "pass"]
+
+    def test_a_vacuous_check_does_not_fail_the_report(self):
+        from splitclosure import CheckResult, ValidationReport
+
+        report = ValidationReport(1, (1,), (CheckResult("empty", True, 0),))
+        assert report.passed
+        assert report.render_text().endswith("check empty: vacuous (0 instances)\noverall: pass\n")
+
+    def test_no_stable_locked_class_below_five_vertices_is_vacuous(self):
+        negative = validate_theorems(4).checks[1]
+        assert negative.name == "main-theorem-negative-consistency"
+        assert (negative.status, negative.instances) == ("vacuous", 0)
+        assert all(c.status == "pass" for c in validate_theorems(5).checks)
+
+    @pytest.mark.parametrize(
+        "check,dependency,broken,n", BROKEN_DEPENDENCIES, ids=[c for c, *_ in BROKEN_DEPENDENCIES]
+    )
+    def test_a_broken_dependency_fails_its_check(
+        self, check, dependency, broken, n, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(census, dependency, broken)
+        report = validate_theorems(n)
+        failed = [c for c in report.checks if c.status == "FAIL"]
+        assert [c.name for c in failed] == [check]
+        assert failed[0].detail and failed[0].instances > 0
+        assert is_stable(parse_digraph(failed[0].counterexample))[0]
+        assert report.render_text().endswith("overall: FAIL\n")
+        assert cli_main(["census", "--max-vertices", str(n), "--validate"]) == EXIT_PROPERTY
+        assert f"check {check}: FAIL (" in capsys.readouterr().out

@@ -62,6 +62,14 @@ def test_census_output_is_pinned(golden, args, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
+def test_readme_census_example_is_the_pin():
+    readme = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    command = "$ splitclosure census --max-vertices 4 --validate\n"
+    start = readme.index(command) + len(command)
+    example = readme[start : readme.index("```", start)]
+    assert example == (GOLDEN / "census-validate-4.txt").read_text(encoding="utf-8")
+
+
 def test_pins_cover_both_rules():
     for stem in ("twoclasps", "layered-0"):
         payload = json.loads((GOLDEN / f"{stem}.trace.json").read_text(encoding="utf-8"))
