@@ -11,7 +11,6 @@ supporting theorems.
 
 from .census import (
     CheckResult,
-    IsoClassStream,
     ObstructionSet,
     ValidationReport,
     contains_induced,
@@ -34,7 +33,6 @@ from .compression import (
 from .digraph import (
     Arrow,
     DiGraph,
-    VertexBijection,
     canonical_form,
     emit_digraph,
     is_isomorphic,
@@ -77,9 +75,7 @@ from .predicates import (
     StableWitness,
     clasp_vertices,
     clasps,
-    distinct_trans_triples,
     is_balanced,
-    is_paired,
     is_preordered,
     is_reflexive,
     is_stable,

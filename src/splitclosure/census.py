@@ -1,20 +1,19 @@
 """Exhaustive small-graph enumeration and desk-scale theorem validation.
 
-The census enumerates reflexive digraphs either labeled or up to
-isomorphism, mines minimal forbidden induced subgraphs for the predicate
-family, provides an independent brute-force decision procedure for "is a
-compression of a preordered graph" at bounded size, and sweeps the whole
-universe re-checking every theorem the rest of the package relies on.
+The census enumerates reflexive digraphs up to isomorphism, mines minimal
+forbidden induced subgraphs for the predicate family, provides an
+independent brute-force decision procedure for "is a compression of a
+preordered graph" at bounded size, and sweeps the whole universe
+re-checking every theorem the rest of the package relies on.
 
 Enumeration is by packed non-loop adjacency bit-strings (row-major, first
 cell most significant), so lexicographic order on bit-strings is numeric
-order on masks.  Up-to-isomorphism streams emit each orbit's minimal mask.
-For n <= 5 whole orbits are marked eagerly: ``bytearray.find`` skips to the
-next unmarked mask, its orbit's minimum, whose permutation images are
-marked through byte tables.  n = 6 falls back to a lazy per-mask canonicity
-test, which is correct but only suitable for partial consumption.  The
-sweeps find the stable classes once per n on bit rows decoded from the
-masks, and build a ``DiGraph`` only for a class a later check looks at.
+order on masks.  Each isomorphism class is emitted as its orbit's minimal
+mask.  For n <= 5 whole orbits are marked eagerly: ``bytearray.find``
+skips to the next unmarked mask, its orbit's minimum, whose permutation
+images are marked through byte tables.  The sweeps find the stable classes
+once per n on bit rows decoded from the masks, and build a ``DiGraph``
+only for a class a later check looks at.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .predicates import (
 )
 
 _LABELS = ("a", "b", "c", "d", "e", "f")
-_MAX_N = 6
 
 
 def _positions(n: int) -> list[tuple[int, int]]:
@@ -114,20 +112,11 @@ def _perm_chunk_tables(n: int) -> tuple:
     return tuple(all_tables)
 
 
-def _apply_chunks(chunks: tuple, mask: int) -> int:
-    out = chunks[0][mask & 255]
-    shift = 8
-    for c in range(1, len(chunks)):
-        out |= chunks[c][(mask >> shift) & 255]
-        shift += 8
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def canonical_masks(n: int) -> tuple[int, ...]:
     """Minimal mask of every isomorphism orbit, ascending (n <= 5)."""
     if not 1 <= n <= 5:
-        raise BoundExceeded(f"eager orbit enumeration bound {n} outside 1..5")
+        raise BoundExceeded(f"class enumeration bound {n} outside 1..5")
     # masks have at most 20 bits: three byte tables, zero-padded for small n
     pad = (0,) * 256
     tables = [(chunks + (pad, pad, pad))[:3] for chunks in _perm_chunk_tables(n)]
@@ -157,46 +146,11 @@ def _classes_by_witness(n: int) -> Mapping[Optional[str], tuple[int, ...]]:
     return MappingProxyType({kind: tuple(masks) for kind, masks in groups.items()})
 
 
-def _lazy_canonical_masks(n: int) -> Iterator[int]:
-    tables = _perm_chunk_tables(n)
-    width = n * (n - 1)
-    for mask in range(1 << width):
-        for chunks in tables:
-            if _apply_chunks(chunks, mask) < mask:
-                break
-        else:
-            yield mask
-
-
-@dataclass(frozen=True)
-class IsoClassStream:
-    """A deterministic, re-iterable stream of reflexive census graphs."""
-
-    n: int
-    mode: str  # "labeled" or "up-to-iso"
-
-    def __iter__(self) -> Iterator[DiGraph]:
-        n = self.n
-        if self.mode == "labeled":
-            for mask in range(1 << (n * (n - 1))):
-                yield graph_from_mask(n, mask, name=f"g{n}-{mask}")
-        else:
-            masks: Iterator[int] | tuple[int, ...]
-            if n <= 5:
-                masks = canonical_masks(n)
-            else:
-                masks = _lazy_canonical_masks(n)
-            for mask in masks:
-                yield graph_from_mask(n, mask, name=f"c{n}-{mask}")
-
-
-def enumerate_reflexive(n: int, mode: str = "up-to-iso") -> IsoClassStream:
-    """All reflexive digraphs on ``n`` vertices, labeled or one per class."""
-    if mode not in ("labeled", "up-to-iso"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 1 <= n <= _MAX_N:
-        raise BoundExceeded(f"vertex count {n} outside 1..{_MAX_N}")
-    return IsoClassStream(n, mode)
+def enumerate_reflexive(n: int) -> Iterator[DiGraph]:
+    """One reflexive digraph per isomorphism class on ``n`` vertices
+    (n <= 5), named ``c<n>-<mask>``, in ascending mask order."""
+    masks = canonical_masks(n)
+    return (graph_from_mask(n, mask, name=f"c{n}-{mask}") for mask in masks)
 
 
 # -- minimal forbidden induced subgraphs ------------------------------------
@@ -244,10 +198,10 @@ def contains_induced(graph: DiGraph, pattern: DiGraph) -> bool:
     k = len(pattern.vertices)
     if k > len(graph.vertices):
         return False
-    key = _canonical_packed(k, _packed_matrix(pattern._rows, range(k)))
+    key = _canonical_packed(k, _packed_matrix(pattern._rows, range(k)))[0]
     rows = graph._rows
     for subset in itertools.combinations(range(len(graph.vertices)), k):
-        if _canonical_packed(k, _packed_matrix(rows, subset)) == key:
+        if _canonical_packed(k, _packed_matrix(rows, subset))[0] == key:
             return True
     return False
 
@@ -289,8 +243,9 @@ def minimal_obstructions(predicate: str, n_max: int) -> ObstructionSet:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):

@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
+    BoundExceeded,
     DuplicateArrow,
     DuplicateVertex,
     ParseError,
@@ -225,25 +225,6 @@ class DiGraph:
 # -- isomorphism -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexBijection:
-    """A one-to-one vertex correspondence witnessing an isomorphism."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def apply(self, v: str) -> str:
-        for a, b in self.pairs:
-            if a == v:
-                return b
-        raise UnknownVertex(v)
-
-    def inverse(self) -> "VertexBijection":
-        return VertexBijection(tuple((b, a) for a, b in self.pairs))
-
-
 def _packed_matrix(rows: tuple[int, ...], order: Iterable[int]) -> int:
     """Adjacency matrix of the vertices at ``order`` (a sequence of indices
     into the bit rows), row-major, first cell most significant."""
@@ -256,10 +237,14 @@ def _packed_matrix(rows: tuple[int, ...], order: Iterable[int]) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
-def _canonical_packed(n: int, packed: int) -> int:
-    """Lexicographically minimal packed matrix over all vertex relabelings."""
+def _canonical_packed(n: int, packed: int) -> tuple[int, tuple[int, ...]]:
+    """Lexicographically minimal packed matrix over all vertex relabelings,
+    and the first ordering that reaches it: canonical position i holds
+    vertex ``order[i]``.  Raises BoundExceeded above 8 vertices."""
+    if n > 8:
+        raise BoundExceeded(f"isomorphism search on {n} vertices exceeds the bound 8")
     cells = [(packed >> (n * n - 1 - (i * n + j))) & 1 for i in range(n) for j in range(n)]
-    best = None
+    best = order = None
     for perm in itertools.permutations(range(n)):
         cand = 0
         for i in range(n):
@@ -270,46 +255,34 @@ def _canonical_packed(n: int, packed: int) -> int:
                 break
         else:
             if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+                best, order = cand, perm
+    assert best is not None and order is not None
+    return best, order
 
 
 def canonical_form(graph: DiGraph) -> tuple[int, int]:
-    """A label-independent key: two graphs are isomorphic iff keys match."""
+    """A label-independent key: two graphs are isomorphic iff keys match.
+    Brute force over all orderings, so bounded at 8 vertices."""
     n = len(graph.vertices)
-    return n, _canonical_packed(n, _packed_matrix(graph._rows, range(n)))
+    return n, _canonical_packed(n, _packed_matrix(graph._rows, range(n)))[0]
 
 
-def is_isomorphic(first: DiGraph, second: DiGraph) -> Optional[VertexBijection]:
-    """Search for a bijection carrying the arrows of one graph exactly onto
-    the other's; returns None when the graphs are not isomorphic.
+def is_isomorphic(first: DiGraph, second: DiGraph) -> Optional[dict[str, str]]:
+    """A bijection carrying the arrows of ``first`` exactly onto those of
+    ``second``, or None when the graphs are not isomorphic.
 
-    Brute-force permutation search, intended for small graphs; a cached
-    canonical form rejects most non-isomorphic pairs without searching.
+    Both graphs are canonically ordered; when the canonical matrices match,
+    the vertices at equal canonical positions correspond.  Bounded like
+    :func:`canonical_form`.
     """
     n = len(first.vertices)
-    if n != len(second.vertices) or first.arrow_count() != second.arrow_count():
+    if n != len(second.vertices):
         return None
-    if canonical_form(first) != canonical_form(second):
+    best1, order1 = _canonical_packed(n, _packed_matrix(first._rows, range(n)))
+    best2, order2 = _canonical_packed(n, _packed_matrix(second._rows, range(n)))
+    if best1 != best2:
         return None
-    rows1, rows2 = first._rows, second._rows
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for i in range(n):
-            target = 0
-            row = rows1[i]
-            for j in bits(row):
-                target |= 1 << perm[j]
-            if rows2[perm[i]] != target:
-                ok = False
-                break
-        if ok:
-            pairs = tuple(
-                (first.vertices[i], second.vertices[perm[i]]) for i in range(n)
-            )
-            return VertexBijection(pairs)
-    return None
+    return {first.vertices[i]: second.vertices[j] for i, j in zip(order1, order2)}
 
 
 def is_star_acyclic(graph: DiGraph) -> bool:

@@ -65,12 +65,6 @@ def trans_triples(graph: DiGraph) -> frozenset[tuple[str, str, str]]:
     return frozenset(out)
 
 
-def distinct_trans_triples(graph: DiGraph) -> frozenset[tuple[str, str, str]]:
-    return frozenset(
-        (a, b, c) for (a, b, c) in trans_triples(graph) if a != b and b != c and a != c
-    )
-
-
 def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
     """First index quadruple (w, x, y, z) of reflexive bit rows with wx,
     xy, yz, wz arrows whose chords wy and xz disagree, or None."""
@@ -287,11 +281,6 @@ def clasps(graph: DiGraph) -> tuple[ClaspRecord, ...]:
 
 def clasp_vertices(graph: DiGraph) -> tuple[str, ...]:
     return tuple(r.vertex for r in clasps(graph))
-
-
-def is_paired(graph: DiGraph, r: str, s: str) -> bool:
-    """True iff both arrows r -> s and s -> r are present."""
-    return graph.has_arrow(r, s) and graph.has_arrow(s, r)
 
 
 def soloists(graph: DiGraph) -> tuple[str, ...]:

@@ -104,7 +104,7 @@ def test_criterion_3_arrow_conservation():
 
     swept = 0
     for n in range(1, 5):
-        for g in enumerate_reflexive(n, "up-to-iso"):
+        for g in enumerate_reflexive(n):
             if not is_stable(g)[0] or any(r.locked for r in clasps(g)):
                 continue
             res = expand_to_preorder(g)
@@ -135,7 +135,7 @@ def test_criterion_4_main_theorem_sweep_to_five_vertices():
 def test_criterion_5_no_bounded_expansion_for_locked_graphs():
     instances = 0
     for n in range(1, 5):
-        for g in enumerate_reflexive(n, "up-to-iso"):
+        for g in enumerate_reflexive(n):
             if not is_stable(g)[0]:
                 continue
             if any(r.locked for r in clasps(g)):
@@ -207,7 +207,7 @@ def test_criterion_7_obstruction_counts():
 
 def test_criterion_8_enumerator_calibration():
     counts = [
-        sum(1 for _ in enumerate_reflexive(n, "up-to-iso")) for n in (1, 2, 3)
+        sum(1 for _ in enumerate_reflexive(n)) for n in (1, 2, 3)
     ]
     assert counts == [1, 3, 16]
     print("criterion 8: pass (class counts 1, 3, 16)")

@@ -29,7 +29,6 @@ from splitclosure import (
 )
 from splitclosure import census
 from splitclosure.census import (
-    _apply_chunks,
     _classes_by_witness,
     _mask_rows,
     _perm_chunk_tables,
@@ -47,22 +46,17 @@ CLASS_COUNTS = {1: 1, 2: 3, 3: 16, 4: 218}
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(CLASS_COUNTS.items()))
     def test_class_counts(self, n, count):
-        assert sum(1 for _ in enumerate_reflexive(n, "up-to-iso")) == count
-
-    def test_labeled_counts(self):
-        assert sum(1 for _ in enumerate_reflexive(2, "labeled")) == 4
-        assert sum(1 for _ in enumerate_reflexive(3, "labeled")) == 64
+        assert sum(1 for _ in enumerate_reflexive(n)) == count
 
     def test_every_emitted_graph_is_reflexive(self):
-        assert all(is_reflexive(g) for g in enumerate_reflexive(3, "up-to-iso"))
+        assert all(is_reflexive(g) for g in enumerate_reflexive(3))
 
     def test_stream_is_re_iterable_and_deterministic(self):
-        stream = enumerate_reflexive(3, "up-to-iso")
-        assert [g.arrows for g in stream] == [g.arrows for g in stream]
+        assert list(enumerate_reflexive(3)) == list(enumerate_reflexive(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_classes_pairwise_non_isomorphic(self, n):
-        graphs = list(enumerate_reflexive(n, "up-to-iso"))
+        graphs = list(enumerate_reflexive(n))
         for g1, g2 in itertools.combinations(graphs, 2):
             assert is_isomorphic(g1, g2) is None
 
@@ -70,7 +64,7 @@ class TestEnumeration:
     def test_orbit_sizes_cover_labeled_universe(self, n):
         # independent orbit counter: relabel each class every possible way
         total = 0
-        for g in enumerate_reflexive(n, "up-to-iso"):
+        for g in enumerate_reflexive(n):
             relabelings = set()
             for perm in itertools.permutations(g.vertices):
                 to_new = dict(zip(g.vertices, perm))
@@ -81,27 +75,25 @@ class TestEnumeration:
         assert total == 2 ** (n * (n - 1))
 
     def test_every_labeled_graph_has_a_class(self):
-        classes = list(enumerate_reflexive(2, "up-to-iso"))
-        for g in enumerate_reflexive(2, "labeled"):
+        classes = list(enumerate_reflexive(2))
+        for g in (graph_from_mask(2, m) for m in range(4)):
             assert sum(1 for c in classes if is_isomorphic(g, c)) == 1
 
-    @pytest.mark.parametrize("n", [0, 7])
+    @pytest.mark.parametrize("n", [0, 6])
     def test_bounds(self, n):
         with pytest.raises(BoundExceeded):
-            enumerate_reflexive(n, "up-to-iso")
+            enumerate_reflexive(n)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            enumerate_reflexive(2, "canonical")
 
-    def test_six_vertex_stream_is_lazy_but_correct(self):
-        # full consumption is impractical at n=6; the head of the stream
-        # must still be the canonical empty and single-arrow classes
-        stream = iter(enumerate_reflexive(6, "up-to-iso"))
-        first = next(stream)
-        second = next(stream)
-        assert first.non_loop_arrows() == frozenset()
-        assert len(second.non_loop_arrows()) == 1
+def _apply_chunks(chunks: tuple, mask: int) -> int:
+    """Image of ``mask`` under one permutation's byte tables, chunk by chunk:
+    the naive orbit reference for ``canonical_masks``."""
+    out = chunks[0][mask & 255]
+    shift = 8
+    for c in range(1, len(chunks)):
+        out |= chunks[c][(mask >> shift) & 255]
+        shift += 8
+    return out
 
 
 class TestBitRowFastPaths:
@@ -287,6 +279,13 @@ class TestOracle:
         assert graph == split4
         assert cmap.as_pairs() == tuple((v, v) for v in split4.vertices)
 
+    def test_empty_graph_yields_itself(self):
+        empty = DiGraph([])
+        graph, cmap = oracle_preorder_expansion(empty, 0)
+        assert graph == empty and cmap.as_pairs() == ()
+        assert verify_compression(cmap).valid
+        assert oracle_preorder_expansion(empty, 2)[0] == empty
+
     def test_zero_budget_on_non_preordered(self, path3):
         assert oracle_preorder_expansion(path3, 0) is None
 
@@ -304,7 +303,7 @@ class TestOracle:
 
     def test_agrees_with_algorithm_up_to_three_vertices(self):
         for n in (1, 2, 3):
-            for g in enumerate_reflexive(n, "up-to-iso"):
+            for g in enumerate_reflexive(n):
                 if not is_stable(g)[0] or any(r.locked for r in clasps(g)):
                     continue
                 outcome = expand_to_preorder(g)
@@ -316,9 +315,15 @@ def _raise(*args):
     raise RuntimeError("injected")
 
 
+def _obstruction_free(graph, pattern):
+    return False
+
+
 # Per check: a census dependency broken so that the check must fail, and the
 # smallest sweep with an instance to fail on (no stable class has a locked
 # clasp below five vertices, and no star-acyclic obstruction is below four).
+# Check (f) is broken on both sides: every class contains an obstruction, so
+# an unlocked class fails, or none does, so the locked class c5-1500 fails.
 BROKEN_DEPENDENCIES = [
     ("main-theorem-positive", "expand_to_preorder", _raise, 3),
     ("main-theorem-negative-consistency", "oracle_preorder_expansion", lambda g, k: (g, None), 5),
@@ -326,7 +331,9 @@ BROKEN_DEPENDENCIES = [
     ("soloist-lemma", "_soloist_lemma_instances", lambda g: (1, "injected"), 3),
     ("compression-theorem", "_compression_theorem_holds", lambda cmap, memo: "injected", 3),
     ("corollary-acyclic-star", "contains_induced", lambda g, h: True, 4),
+    ("corollary-acyclic-star", "contains_induced", _obstruction_free, 5),
 ]
+BROKEN_IDS = [c + ("-locked" if b is _obstruction_free else "") for c, _, b, _ in BROKEN_DEPENDENCIES]
 
 
 class TestValidateTheorems:
@@ -387,7 +394,7 @@ class TestValidateTheorems:
         assert [c["status"] for c in checks] == ["FAIL", "vacuous", "pass"]
 
     @pytest.mark.parametrize(
-        "check,dependency,broken,n", BROKEN_DEPENDENCIES, ids=[c for c, *_ in BROKEN_DEPENDENCIES]
+        "check,dependency,broken,n", BROKEN_DEPENDENCIES, ids=BROKEN_IDS
     )
     def test_a_broken_dependency_fails_its_check(
         self, check, dependency, broken, n, monkeypatch, capsys
@@ -398,6 +405,8 @@ class TestValidateTheorems:
         assert [c.name for c in failed] == [check]
         assert failed[0].detail and failed[0].instances > 0
         assert is_stable(parse_digraph(failed[0].counterexample))[0]
+        if broken is _obstruction_free:
+            assert parse_digraph(failed[0].counterexample).name == "c5-1500"
         assert report.render_text().endswith("overall: FAIL\n")
         assert cli_main(["census", "--max-vertices", str(n), "--validate"]) == EXIT_PROPERTY
         assert f"check {check}: FAIL (" in capsys.readouterr().out

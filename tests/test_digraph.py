@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 
@@ -9,19 +10,23 @@ from hypothesis import strategies as st
 
 from conftest import digraphs, reflexive
 from splitclosure import (
+    BoundExceeded,
     DiGraph,
     DuplicateArrow,
     DuplicateVertex,
     ParseError,
     UnknownVertex,
+    canonical_form,
     emit_digraph,
     expand_to_preorder,
+    graph_from_mask,
     is_isomorphic,
     is_star_acyclic,
     parse_digraph,
     property_report,
     verify_compression,
 )
+from splitclosure.digraph import bits
 
 # comment marker, directive colon, DOT metacharacters, and whitespace
 # that only Unicode calls whitespace
@@ -287,8 +292,7 @@ class TestTransitiveClosure:
         assert smaller.transitive_closure().arrows <= g.transitive_closure().arrows
 
 
-def _witness_ok(g1: DiGraph, g2: DiGraph, bijection) -> bool:
-    mapping = bijection.as_dict()
+def _witness_ok(g1: DiGraph, g2: DiGraph, mapping: dict[str, str]) -> bool:
     if sorted(mapping) != sorted(g1.vertices):
         return False
     if sorted(mapping.values()) != sorted(g2.vertices):
@@ -310,7 +314,7 @@ class TestIsomorphism:
         g1 = reflexive("ab", [("a", "b")])
         g2 = reflexive("ab", [("b", "a")])
         found = is_isomorphic(g1, g2)
-        assert found is not None and found.as_dict() == {"a": "b", "b": "a"}
+        assert found == {"a": "b", "b": "a"}
 
     def test_same_size_non_isomorphic(self):
         g1 = reflexive("abc", [("a", "b"), ("b", "c")])
@@ -337,7 +341,7 @@ class TestIsomorphism:
         )
         forward = is_isomorphic(g, relabeled)
         assert forward is not None and _witness_ok(g, relabeled, forward)
-        assert _witness_ok(relabeled, g, forward.inverse())
+        assert _witness_ok(relabeled, g, {b: a for a, b in forward.items()})
 
     @given(digraphs(max_n=3))
     @settings(max_examples=25)
@@ -354,9 +358,75 @@ class TestIsomorphism:
         ab = is_isomorphic(g, second)
         bc = is_isomorphic(second, third)
         assert ab is not None and bc is not None
-        composed = {v: bc.as_dict()[ab.as_dict()[v]] for v in g.vertices}
+        composed = {v: bc[ab[v]] for v in g.vertices}
         image = {(composed[u], composed[v]) for (u, v) in g.arrows}
         assert image == set(third.arrows)
+
+
+def reference_isomorphism(first: DiGraph, second: DiGraph):
+    """Brute-force witness search over every vertex permutation: the
+    reference for the canonical-order witness of ``is_isomorphic``."""
+    n = len(first.vertices)
+    if n != len(second.vertices):
+        return None
+    rows1, rows2 = first._rows, second._rows
+    for perm in itertools.permutations(range(n)):
+        ok = True
+        for i in range(n):
+            target = 0
+            for j in bits(rows1[i]):
+                target |= 1 << perm[j]
+            if rows2[perm[i]] != target:
+                ok = False
+                break
+        if ok:
+            return {first.vertices[i]: second.vertices[perm[i]] for i in range(n)}
+    return None
+
+
+@st.composite
+def _graph_pairs(draw):
+    """A graph on at most five vertices and, in turn, a relabeling of it,
+    a relabeling with one cell of the matrix flipped, or an unrelated graph."""
+    g = draw(digraphs(max_n=5))
+    n = len(g.vertices)
+    kind = draw(st.sampled_from(["relabeled", "flipped", "unrelated"]))
+    if kind == "unrelated":
+        return g, draw(digraphs(max_n=5))
+    perm = draw(st.permutations(range(n)))
+    labels = [f"w{perm[i]}" for i in range(n)]
+    arrows = {(labels[g.index(u)], labels[g.index(v)]) for u, v in g.arrows}
+    if kind == "flipped":
+        cell = (draw(st.sampled_from(labels)), draw(st.sampled_from(labels)))
+        arrows ^= {cell}
+    return g, DiGraph(sorted(labels), arrows)
+
+
+class TestIsomorphismOracle:
+    """``is_isomorphic`` against the brute-force permutation search."""
+
+    def _agrees(self, g1: DiGraph, g2: DiGraph) -> None:
+        found = is_isomorphic(g1, g2)
+        assert (found is None) == (reference_isomorphism(g1, g2) is None)
+        if found is not None:
+            assert _witness_ok(g1, g2, found)
+
+    def test_every_labeled_pair_on_three_vertices(self):
+        graphs = [graph_from_mask(3, m) for m in range(64)]
+        for g1, g2 in itertools.product(graphs, repeat=2):
+            self._agrees(g1, g2)
+
+    @given(_graph_pairs())
+    @settings(max_examples=300)
+    def test_random_pairs_up_to_five_vertices(self, pair):
+        self._agrees(*pair)
+
+    def test_search_is_bounded_at_eight_vertices(self):
+        g = reflexive([f"v{i}" for i in range(10)], [])
+        with pytest.raises(BoundExceeded):
+            canonical_form(g)
+        with pytest.raises(BoundExceeded):
+            is_isomorphic(g, g)
 
 
 class TestStarAcyclic:

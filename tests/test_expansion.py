@@ -331,7 +331,7 @@ def test_trace_invariants_across_the_small_census():
 
     runs = 0
     for n in range(1, 5):
-        for g in enumerate_reflexive(n, "up-to-iso"):
+        for g in enumerate_reflexive(n):
             if not is_stable(g)[0] or any(r.locked for r in clasps(g)):
                 continue
             outcome = expand_to_preorder(g)

@@ -65,7 +65,7 @@ def assert_replay_passes_full_checks(graph: DiGraph) -> None:
 def test_census_classes_up_to_five_vertices():
     runs = 0
     for n in range(1, 6):
-        for graph in enumerate_reflexive(n, "up-to-iso"):
+        for graph in enumerate_reflexive(n):
             if stable_and_unlocked(graph):
                 assert_replay_passes_full_checks(graph)
                 runs += 1
