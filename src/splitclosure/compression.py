@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .digraph import DiGraph, bits
+from .digraph import DiGraph, _label_mask, bits
 from .errors import (
     ChainMismatch,
     DomainMismatch,
@@ -196,6 +196,25 @@ def compose(outer: CompressionMap, inner: CompressionMap) -> CompressionMap:
     return CompressionMap(inner.source, outer.target, assignment)
 
 
+def _split_rows(rows: list[int], cols: list[int], x: int, tails: int, heads: int) -> int:
+    """Split vertex ``x`` on bit rows ``rows`` and their transpose ``cols``,
+    in place: append a vertex t with a loop, move a -> x over to a -> t for
+    a in the mask ``tails`` and x -> b over to t -> b for b in ``heads``,
+    and return t.  Rows and cols stay transposed when the masks avoid x
+    and t."""
+    t = len(rows)
+    xbit, tbit = 1 << x, 1 << t
+    rows.append(tbit | heads)
+    cols.append(tbit | tails)
+    rows[x] &= ~heads
+    cols[x] &= ~tails
+    for a in bits(tails):
+        rows[a] = rows[a] & ~xbit | tbit
+    for b in bits(heads):
+        cols[b] = cols[b] & ~xbit | tbit
+    return t
+
+
 def split_vertex(
     graph: DiGraph,
     vertex: str,
@@ -225,16 +244,10 @@ def split_vertex(
         raise PreconditionViolated(
             f"out_moved contains non-successors of {vertex}: {sorted(outs - out_nbrs)}"
         )
-    t = len(graph.vertices)
-    rows = list(graph._rows) + [1 << t]
-    for a in ins:
-        j = graph.index(a)
-        rows[j] = rows[j] & ~(1 << i) | 1 << t
-    for b in outs:
-        j = graph.index(b)
-        rows[i] &= ~(1 << j)
-        rows[t] |= 1 << j
-    split = DiGraph._from_rows(graph.vertices + (new_label,), tuple(rows), graph.name)
+    rows, cols = list(graph._rows), list(graph._cols)
+    _split_rows(rows, cols, i, _label_mask(graph, ins), _label_mask(graph, outs))
+    vertices = graph.vertices + (new_label,)
+    split = DiGraph._from_rows(vertices, tuple(rows), graph.name, tuple(cols))
     assignment = {v: v for v in graph.vertices}
     assignment[new_label] = vertex
     cmap = CompressionMap(split, graph, assignment)

@@ -39,6 +39,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _label_mask(graph: DiGraph, labels: Iterable[str]) -> int:
+    """The bitmask of ``labels`` in ``graph``'s vertex order."""
+    mask = 0
+    for v in labels:
+        mask |= 1 << graph.index(v)
+    return mask
+
+
 def _label_index(vertices: tuple[str, ...]) -> dict[str, int]:
     """Position of each label; raises at the first invalid or repeated one.
 
@@ -269,7 +277,9 @@ def canonical_form(graph: DiGraph) -> tuple[int, int]:
 
 def is_isomorphic(first: DiGraph, second: DiGraph) -> Optional[dict[str, str]]:
     """A bijection carrying the arrows of ``first`` exactly onto those of
-    ``second``, or None when the graphs are not isomorphic.
+    ``second``, or None when the graphs are not isomorphic.  Compare the
+    result with ``is not None``: two empty graphs give ``{}``, which is
+    falsy.
 
     Both graphs are canonically ordered; when the canonical matrices match,
     the vertices at equal canonical positions correspond.  Bounded like

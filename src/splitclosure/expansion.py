@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .compression import CompressionMap, verify_compression
-from .digraph import DiGraph, bits, emit_digraph
+from .compression import CompressionMap, _split_rows, verify_compression
+from .digraph import DiGraph, _label_mask, bits, emit_digraph
 from .errors import (
     InternalInvariantBreached,
     LockedClasp,
@@ -91,32 +91,36 @@ class ConstructionChoice:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Ledger of one split: what moved, what was removed and added."""
+    """Ledger of one split: the arrows into the clasp from ``tails`` and out
+    of it to ``heads`` (labels in vertex order) move to the new vertex."""
 
     index: int
     clasp: str
     context: ClaspContext
     choice: ConstructionChoice
-    moved_heads: Optional[tuple[str, ...]]  # rule A: successors rerouted to t
     moved_pairs: Optional[tuple[tuple[str, str], ...]]  # rule B: (c, z) pairs
-    removed: tuple[tuple[str, str], ...]
-    added: tuple[tuple[str, str], ...]
+    tails: tuple[str, ...]
+    heads: tuple[str, ...]
     new_vertex: str
+
+    # rule A: the successors rerouted to the new vertex
+    moved_heads = property(lambda self: self.heads if self.choice.kind == "A" else None)
+
+    def _arrows_at(self, v: str) -> tuple[tuple[str, str], ...]:
+        """The arrows a -> v and v -> b for the tails a and the heads b."""
+        return tuple((a, v) for a in self.tails) + tuple((v, b) for b in self.heads)
+
+    removed = property(lambda self: self._arrows_at(self.clasp))
+    added = property(lambda self: self._arrows_at(self.new_vertex))
 
     def apply(self, graph: DiGraph) -> DiGraph:
         """The graph this split turns ``graph`` into: the new vertex comes
-        last, with a loop, and the removed arrows give way to the added."""
-        t = len(graph.vertices)
-        rows = list(graph._rows) + [1 << t]
-
-        def at(v: str) -> int:
-            return t if v == self.new_vertex else graph.index(v)
-
-        for u, v in self.removed:
-            rows[at(u)] &= ~(1 << at(v))
-        for u, v in self.added:
-            rows[at(u)] |= 1 << at(v)
-        return DiGraph._from_rows(graph.vertices + (self.new_vertex,), tuple(rows), graph.name)
+        last, with a loop, and takes over the moved arrows."""
+        rows, cols = list(graph._rows), list(graph._cols)
+        tails, heads = _label_mask(graph, self.tails), _label_mask(graph, self.heads)
+        _split_rows(rows, cols, graph.index(self.clasp), tails, heads)
+        vertices = graph.vertices + (self.new_vertex,)
+        return DiGraph._from_rows(vertices, tuple(rows), graph.name, tuple(cols))
 
     def to_json(self) -> dict:
         record: dict = {
@@ -127,7 +131,7 @@ class IterationRecord:
             "A": list(self.context.triple_tails),
         }
         if self.choice.kind == "A":
-            record["B"] = list(self.moved_heads or ())
+            record["B"] = list(self.heads)
         else:
             record["T"] = [list(p) for p in (self.moved_pairs or ())]
             record["witness"] = {
@@ -202,9 +206,7 @@ def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> Const
     order, then least kept tail, then least detour tail.
     """
     cols = graph._cols
-    tail_mask = 0
-    for a in ctx.triple_tails:
-        tail_mask |= 1 << graph.index(a)
+    tail_mask = _label_mask(graph, ctx.triple_tails)
     labels = graph.vertices
     for y_label in ctx.witness_heads:
         y = graph.index(y_label)
@@ -241,26 +243,16 @@ def construction_a(
     rows = graph._rows
     cols = graph._cols
     labels = graph.vertices
-    head_mask = 0
-    for y in ctx.witness_heads:
-        head_mask |= 1 << graph.index(y)
+    head_mask = _label_mask(graph, ctx.witness_heads)
     moved = 0
     for b in bits(rows[i] & ~(1 << i)):
         # (vertex, b, y): b -> y for a witness head, or (vertex, y, b): y -> b.
         if rows[b] & head_mask or cols[b] & head_mask:
             moved |= 1 << b
-    moved_heads = tuple(labels[b] for b in bits(moved))
-    removed = tuple((a, vertex) for a in ctx.triple_tails) + tuple(
-        (vertex, b) for b in moved_heads
-    )
-    added = tuple((a, new_vertex) for a in ctx.triple_tails) + tuple(
-        (new_vertex, b) for b in moved_heads
-    )
     if head_mask & ~moved:
         raise InternalInvariantBreached("witness heads escaped the moved set")
-    return IterationRecord(
-        index, vertex, ctx, choice, moved_heads, None, removed, added, new_vertex
-    )
+    heads = tuple(labels[b] for b in bits(moved))
+    return IterationRecord(index, vertex, ctx, choice, None, ctx.triple_tails, heads, new_vertex)
 
 
 def construction_b(
@@ -279,50 +271,36 @@ def construction_b(
     ``select_construction`` picks); apply the returned record to get the
     split graph.
     """
-    if choice.kind != "B":
-        raise PreconditionViolated("no rule B witnesses; rule B does not apply")
     pivot_head = choice.pivot_head
-    if pivot_head not in ctx.witness_heads:
-        raise PreconditionViolated(f"{pivot_head} is not a witness head of {vertex}")
+    if not (
+        choice.kind == "B"
+        and pivot_head in ctx.witness_heads
+        and choice.kept_tail in ctx.triple_tails
+        and choice.detour_tail in ctx.triple_tails
+        and graph.has_arrow(choice.kept_tail, pivot_head)
+        and not graph.has_arrow(choice.detour_tail, pivot_head)
+    ):
+        raise PreconditionViolated(
+            f"rule B does not apply at {vertex} with pivot head {pivot_head}"
+        )
     i = graph.index(vertex)
     rows = graph._rows
     cols = graph._cols
     labels = graph.vertices
-    y = graph.index(pivot_head)
-    tail_mask = 0
-    for a in ctx.triple_tails:
-        tail_mask |= 1 << graph.index(a)
-    kept = tail_mask & cols[y]
-    detour = tail_mask & ~cols[y]
-    if not kept or not detour:
-        raise PreconditionViolated(
-            f"rule B does not apply at {vertex} with pivot head {pivot_head}"
-        )
-    if not (
-        choice.kept_tail in ctx.triple_tails
-        and choice.detour_tail in ctx.triple_tails
-        and (kept >> graph.index(choice.kept_tail)) & 1
-        and (detour >> graph.index(choice.detour_tail)) & 1
-    ):
-        raise PreconditionViolated(
-            f"rule B witnesses do not fit pivot head {pivot_head} at {vertex}"
-        )
     ibit = 1 << i
     pairs = []
-    for c in bits(cols[i] & ~cols[y] & ~ibit):
-        for z in bits(rows[i] & rows[c] & ~ibit):
-            pairs.append((labels[c], labels[z]))
+    tail_mask = head_mask = 0
+    for c in bits(cols[i] & ~cols[graph.index(pivot_head)] & ~ibit):
+        zs = rows[i] & rows[c] & ~ibit
+        if zs:
+            tail_mask |= 1 << c
+            head_mask |= zs
+            pairs.extend((labels[c], labels[z]) for z in bits(zs))
     if not pairs:
         raise InternalInvariantBreached("rule B selected but no arrows to detour")
-    tails = sorted({c for c, _ in pairs}, key=graph.index)
-    heads = sorted({z for _, z in pairs}, key=graph.index)
-    removed = tuple((c, vertex) for c in tails) + tuple((vertex, z) for z in heads)
-    added = tuple((c, new_vertex) for c in tails) + tuple(
-        (new_vertex, z) for z in heads
-    )
-    return IterationRecord(
-        index, vertex, ctx, choice, None, tuple(pairs), removed, added, new_vertex
-    )
+    tails = tuple(labels[c] for c in bits(tail_mask))
+    heads = tuple(labels[z] for z in bits(head_mask))
+    return IterationRecord(index, vertex, ctx, choice, tuple(pairs), tails, heads, new_vertex)
 
 
 def fresh_vertex(graph: DiGraph, start: int = 1) -> tuple[str, int]:
@@ -347,12 +325,10 @@ def _check_preconditions(graph: DiGraph, vertex: Optional[str] = None) -> int:
             raise NotAClasp(vertex)
         if chosen[0].locked:
             raise LockedClasp(vertex, chosen[0].lock_witness)
-    mask = 0
     for record in records:
         if record.locked:
             raise LockedClasp(record.vertex, record.lock_witness)
-        mask |= 1 << graph.index(record.vertex)
-    return mask
+    return _label_mask(graph, (record.vertex for record in records))
 
 
 def _check_step_map(state: _SplitState, x: int, t: int, old_row: int, old_col: int) -> None:
@@ -431,6 +407,7 @@ class _SplitState:
         self._next_name = 1
 
     index = DiGraph.index
+    has_arrow = DiGraph.has_arrow
     __contains__ = DiGraph.__contains__
 
     def split(self, x: int, index: int) -> IterationRecord:
@@ -441,28 +418,13 @@ class _SplitState:
         choice = select_construction(self, vertex, ctx)
         rule = construction_a if choice.kind == "A" else construction_b
         record = rule(self, vertex, ctx, choice, new_vertex, index)
-        if len(record.removed) != len(record.added):
-            raise InternalInvariantBreached("removed and added arrow counts differ")
-        # the local checks below are exact only if nothing else moved
-        if any(vertex not in arrow for arrow in record.removed) or any(
-            new_vertex not in arrow for arrow in record.added
-        ):
-            raise InternalInvariantBreached(f"split of {vertex} moved an arrow elsewhere")
         rows, cols = self._rows, self._cols
         old_row, old_col = rows[x], cols[x]
-        t = len(self.vertices)
+        tails, heads = _label_mask(self, record.tails), _label_mask(self, record.heads)
+        t = _split_rows(rows, cols, x, tails, heads)
         self.vertices.append(new_vertex)
         self._index[new_vertex] = t
-        rows.append(1 << t)
-        cols.append(1 << t)
         self.parent.append(x)
-        at = self._index
-        for u, v in record.removed:
-            rows[at[u]] &= ~(1 << at[v])
-            cols[at[v]] &= ~(1 << at[u])
-        for u, v in record.added:
-            rows[at[u]] |= 1 << at[v]
-            cols[at[v]] |= 1 << at[u]
         _check_step_map(self, x, t, old_row, old_col)
         for p in (x, t):
             witness = _stable_witness_at(self, p)

@@ -77,7 +77,7 @@ class TestEnumeration:
     def test_every_labeled_graph_has_a_class(self):
         classes = list(enumerate_reflexive(2))
         for g in (graph_from_mask(2, m) for m in range(4)):
-            assert sum(1 for c in classes if is_isomorphic(g, c)) == 1
+            assert sum(1 for c in classes if is_isomorphic(g, c) is not None) == 1
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_bounds(self, n):
@@ -187,11 +187,11 @@ class TestObstructions:
 
     def test_expected_stability_pattern_is_found(self, unstable4):
         members = minimal_obstructions("stable-given-balanced", 4).members
-        assert any(is_isomorphic(g, unstable4) for g in members)
+        assert any(is_isomorphic(g, unstable4) is not None for g in members)
 
     def test_one_chord_diamond_is_a_balance_obstruction(self, unbalanced4):
         members = minimal_obstructions("balanced", 4).members
-        assert any(is_isomorphic(g, unbalanced4) for g in members)
+        assert any(is_isomorphic(g, unbalanced4) is not None for g in members)
 
     @pytest.mark.parametrize(
         "predicate,n_max",

@@ -19,6 +19,7 @@ from splitclosure import (
     PreconditionViolated,
     UnknownVertex,
     compose,
+    enumerate_reflexive,
     identity_map,
     is_isomorphic,
     parse_map_file,
@@ -26,6 +27,7 @@ from splitclosure import (
     trans_triples,
     verify_compression,
 )
+from splitclosure.compression import _split_rows
 
 
 @pytest.fixture
@@ -248,6 +250,90 @@ class TestSplitProperty:
         assert verify_compression(cmap).valid
         assert len(split.non_loop_arrows()) == len(g.non_loop_arrows())
         assert cmap.apply("fresh") == vertex
+
+
+def reference_split(graph, vertex, tails, heads, new_label):
+    """The split rebuilt from label pairs, as the expansion records once
+    carried them: drop a -> vertex and vertex -> b for the tails a and the
+    heads b, then add a -> new and new -> b.  The reference for the shared
+    bit-row primitive."""
+    removed = [(a, vertex) for a in tails] + [(vertex, b) for b in heads]
+    added = [(a, new_label) for a in tails] + [(new_label, b) for b in heads]
+    t = len(graph.vertices)
+    rows = list(graph._rows) + [1 << t]
+
+    def at(v):
+        return t if v == new_label else graph.index(v)
+
+    for u, v in removed:
+        rows[at(u)] &= ~(1 << at(v))
+    for u, v in added:
+        rows[at(u)] |= 1 << at(v)
+    return DiGraph._from_rows(graph.vertices + (new_label,), tuple(rows), graph.name)
+
+
+@st.composite
+def split_cases(draw):
+    """A graph on up to 12 vertices, not necessarily reflexive, a vertex x
+    and random tail and head masks that avoid x but may hold
+    non-neighbours of x."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    full = (1 << n) - 1
+    rows = tuple(draw(st.lists(st.integers(0, full), min_size=n, max_size=n)))
+    graph = DiGraph._from_rows(tuple(f"v{i}" for i in range(n)), rows)
+    x = draw(st.integers(0, n - 1))
+    tails = draw(st.integers(0, full)) & ~(1 << x)
+    heads = draw(st.integers(0, full)) & ~(1 << x)
+    return graph, x, tails, heads
+
+
+class TestSplitPrimitiveOracle:
+    @given(split_cases())
+    @settings(max_examples=300)
+    def test_rows_match_the_label_pair_rebuild(self, case):
+        graph, x, tails, heads = case
+        labels = graph.vertices
+        expected = reference_split(
+            graph,
+            labels[x],
+            [labels[a] for a in range(len(labels)) if tails >> a & 1],
+            [labels[b] for b in range(len(labels)) if heads >> b & 1],
+            "t",
+        )
+        rows, cols = list(graph._rows), list(graph._cols)
+        assert _split_rows(rows, cols, x, tails, heads) == len(labels)
+        assert tuple(rows) == expected._rows
+        assert tuple(cols) == expected._cols  # the transpose of the rows
+
+    def test_split_vertex_matches_the_reference_on_census_splits(self, monkeypatch):
+        import splitclosure.census as census
+
+        tried = []
+        genuine = census.split_vertex
+        monkeypatch.setattr(
+            census, "split_vertex", lambda *args: tried.append(args) or genuine(*args)
+        )
+        for n in range(1, 4):
+            for graph in enumerate_reflexive(n):
+                list(census._all_splits(graph))
+        monkeypatch.undo()
+
+        valid = 0
+        for graph, vertex, tails, heads, new_label in tried:
+            expected = reference_split(graph, vertex, tails, heads, new_label)
+            assignment = {v: v for v in graph.vertices}
+            assignment[new_label] = vertex
+            verdict = verify_compression(CompressionMap(expected, graph, assignment))
+            if verdict.valid:
+                split, cmap = split_vertex(graph, vertex, tails, heads, new_label)
+                assert split == expected and split._cols == expected._cols
+                assert cmap == CompressionMap(expected, graph, assignment)
+                valid += 1
+            else:
+                with pytest.raises(InvalidSplit) as info:
+                    split_vertex(graph, vertex, tails, heads, new_label)
+                assert info.value.verdict == verdict
+        assert 0 < valid < len(tried)
 
 
 class TestMapFile:

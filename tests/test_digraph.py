@@ -316,6 +316,11 @@ class TestIsomorphism:
         found = is_isomorphic(g1, g2)
         assert found == {"a": "b", "b": "a"}
 
+    def test_empty_graphs_give_an_empty_witness(self):
+        # {} is falsy, so callers must compare with ``is not None``
+        found = is_isomorphic(DiGraph([]), DiGraph([]))
+        assert found is not None and found == {}
+
     def test_same_size_non_isomorphic(self):
         g1 = reflexive("abc", [("a", "b"), ("b", "c")])
         g2 = reflexive("abc", [("a", "b"), ("a", "c")])
