@@ -64,6 +64,49 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, with every string
+    encoded in C: the standard encoder is pure Python when it indents.  A
+    payload holding anything but str-keyed dicts, lists, tuples, strings,
+    ints, bools and None goes to ``json.dumps`` whole."""
+    try:
+        return _indented(payload, "\n")
+    except TypeError:
+        return json.dumps(payload, indent=2)
+
+
+def _indented(node, newline: str) -> str:
+    if isinstance(node, str):
+        return _encode_str(node)
+    inner = newline + "  "
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        try:  # a list of strings only
+            items = ("," + inner).join(map(_encode_str, node))
+        except TypeError:
+            items = ("," + inner).join([_indented(v, inner) for v in node])
+        return "[" + inner + items + newline + "]"
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        # a key that is not a string raises TypeError in the C encoder
+        items = ("," + inner).join(
+            [_encode_str(k) + ": " + _indented(v, inner) for k, v in node.items()]
+        )
+        return "{" + inner + items + newline + "}"
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    raise TypeError(f"{type(node).__name__} is left to json.dumps")
+
+
 def _render_report(graph: DiGraph, report) -> str:
     lines = []
     label = graph.name or "(unnamed)"
@@ -122,7 +165,7 @@ def _cmd_check(args) -> int:
     report = property_report(graph)
     if args.json:
         payload = {"name": graph.name, **report.to_json()}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     else:
         sys.stdout.write(_render_report(graph, report))
     return EXIT_OK
@@ -137,7 +180,7 @@ def _cmd_expand(args) -> int:
     else:
         sys.stdout.write(result_text)
     if args.trace:
-        _write_atomic(args.trace, json.dumps(outcome.to_json(), indent=2) + "\n")
+        _write_atomic(args.trace, _dumps(outcome.to_json()) + "\n")
     if args.dot:
         _write_atomic(args.dot, emit_digraph(outcome.result, "dot"))
     return EXIT_OK
@@ -184,7 +227,7 @@ def _cmd_census(args) -> int:
         return EXIT_OK
     if args.obstructions:
         obstruction_set = minimal_obstructions(args.obstructions, n)
-        sys.stdout.write(json.dumps(obstruction_set.to_json(), indent=2) + "\n")
+        sys.stdout.write(_dumps(obstruction_set.to_json()) + "\n")
         return EXIT_OK
     report = validate_theorems(n)
     sys.stdout.write(report.render_text())

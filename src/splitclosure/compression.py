@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .digraph import DiGraph, _label_mask, bits
+from .digraph import DiGraph, _label_mask, _low, bits
 from .errors import (
     ChainMismatch,
     DomainMismatch,
@@ -136,8 +136,7 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
     for u, row in enumerate(s_rows):
         bad = row & ~preimage[f[u]]
         if bad:
-            v = (bad & -bad).bit_length() - 1
-            return CompressionVerdict(False, "cond1", (s_labels[u], s_labels[v]))
+            return CompressionVerdict(False, "cond1", (s_labels[u], s_labels[_low(bad)]))
 
     # cond2: for each target arrow a1 -> a2, collect every x3 closing a
     # source triple x1 -> x2 -> x3 (with x1 -> x3) over the two fibers; a

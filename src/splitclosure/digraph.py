@@ -39,6 +39,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _low(mask: int) -> int:
+    """The lowest set bit position of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _label_mask(graph: DiGraph, labels: Iterable[str]) -> int:
     """The bitmask of ``labels`` in ``graph``'s vertex order."""
     mask = 0
@@ -114,11 +119,14 @@ class DiGraph:
         rows: tuple[int, ...],
         name: Optional[str] = None,
         cols: Optional[tuple[int, ...]] = None,
+        index: Optional[dict[str, int]] = None,
     ) -> DiGraph:
         """The graph with these labels and bit rows; ``cols``, when given,
-        must be the transpose of ``rows``.  Does not call ``__init__``."""
+        must be the transpose of ``rows``, and ``index`` the position of
+        each label, all valid and distinct.  Does not call ``__init__``."""
         graph = cls.__new__(cls)
-        graph._set(vertices, _label_index(vertices), rows, cols, name)
+        index = _label_index(vertices) if index is None else index
+        graph._set(vertices, index, rows, cols, name)
         return graph
 
     def _set(self, vertices, index, rows, cols, name) -> None:
@@ -410,7 +418,10 @@ def parse_digraph(text: str) -> DiGraph:
         for i in range(n):
             rows[i] |= 1 << i
             cols[i] |= 1 << i
-    graph = DiGraph._from_rows(tuple(vertices), tuple(rows), name, tuple(cols))
+    # split() and the '#' check above leave only a repeated label invalid;
+    # then _from_rows rebuilds the index, which raises DuplicateVertex
+    valid = index if len(index) == n else None
+    graph = DiGraph._from_rows(tuple(vertices), tuple(rows), name, tuple(cols), valid)
     if unknown is not None:
         raise UnknownVertex(unknown)
     return graph
@@ -438,7 +449,12 @@ def emit_digraph(graph: DiGraph, fmt: str = "dg") -> str:
         reflexive = graph.is_reflexive()
         lines.append("loops: auto" if reflexive else "loops: explicit")
         lines.append("arrows:")
-        lines.extend(f"{u} {v}" for u, v in graph.sorted_arrows(include_loops=not reflexive))
+        labels = graph.vertices
+        lines += [
+            f"{labels[i]} {labels[j]}"
+            for i, row in enumerate(graph._rows)
+            for j in bits(row & ~(1 << i) if reflexive else row)
+        ]
         return "\n".join(lines) + "\n"
     if fmt == "dot":
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .compression import CompressionMap, _split_rows, verify_compression
-from .digraph import DiGraph, _label_mask, bits, emit_digraph
+from .digraph import DiGraph, _label_mask, _low, bits, emit_digraph
 from .errors import (
     InternalInvariantBreached,
     LockedClasp,
@@ -215,8 +215,8 @@ def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> Const
         if kept and detour:
             return ConstructionChoice(
                 "B",
-                detour_tail=labels[(detour & -detour).bit_length() - 1],
-                kept_tail=labels[(kept & -kept).bit_length() - 1],
+                detour_tail=labels[_low(detour)],
+                kept_tail=labels[_low(kept)],
                 pivot_head=y_label,
             )
     return ConstructionChoice("A")
@@ -364,27 +364,36 @@ def _check_step_map(state: _SplitState, x: int, t: int, old_row: int, old_col: i
         row = rows[u] & ~xbit & ~tbit
         return row | xbit if (old_col >> u) & 1 else row
 
-    def lifts(a: int, b: int, c: int) -> bool:
+    def closing(a: int, b: int) -> int:  # the old c for which (a, b, c) lifts
+        mask = 0
         for p in (x, t) if a == x else (a,):
+            row_p = rows[p]
             for q in (x, t) if b == x else (b,):
-                if not (rows[p] >> q) & 1:
-                    continue
-                for r in (x, t) if c == x else (c,):
-                    if (rows[q] >> r) & 1 and (rows[p] >> r) & 1:
-                        return True
-        return False
+                if (row_p >> q) & 1:
+                    mask |= row_p & rows[q]
+        return image(mask)
 
-    triples = []
-    for b in bits(old_row):  # (x, b, c)
-        triples.extend((x, b, c) for c in bits(old_row & old_out(b)))
+    def no_lift(a: int, b: int, c: int) -> None:
+        names = ", ".join(state.vertices[v] for v in (a, b, c))
+        raise InternalInvariantBreached(f"step map at {label}: triple ({names}) has no lift")
+
+    # each innermost slot is one mask of the old vertices that fail to lift,
+    # in the order (x, b, c), then per a: (a, x, c) and (a, b, x)
+    for b in bits(old_row):
+        if bad := old_row & old_out(b) & ~closing(x, b):
+            no_lift(x, b, _low(bad))
     for a in bits(old_col):
         row_a = old_out(a)
-        triples.extend((a, x, c) for c in bits(old_row & row_a))  # (a, x, c)
-        triples.extend((a, b, x) for b in bits(row_a & old_col))  # (a, b, x)
-    for a, b, c in triples:
-        if not lifts(a, b, c):
-            names = ", ".join(state.vertices[v] for v in (a, b, c))
-            raise InternalInvariantBreached(f"step map at {label}: triple ({names}) has no lift")
+        if bad := old_row & row_a & ~closing(a, x):
+            no_lift(a, x, _low(bad))
+        middles = 0  # the q with p -> q -> r and p -> r for lifts p of a, r of x
+        for p in (x, t) if a == x else (a,):
+            row_p = rows[p]
+            for r in (x, t):
+                if (row_p >> r) & 1:
+                    middles |= row_p & cols[r]
+        if bad := row_a & old_col & ~image(middles):
+            no_lift(a, _low(bad), x)
 
 
 class _SplitState:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .digraph import DiGraph, bits
+from .digraph import DiGraph, _low, bits
 from .errors import NotReflexive
 
 
@@ -37,9 +37,8 @@ def transitive_witness(graph: DiGraph) -> Optional[tuple[str, str, str]]:
     for x in range(len(labels)):
         rx = rows[x]
         for y in bits(rx):
-            missing = rows[y] & ~rx
-            for z in bits(missing):
-                return labels[x], labels[y], labels[z]
+            if missing := rows[y] & ~rx:
+                return labels[x], labels[y], labels[_low(missing)]
     return None
 
 
@@ -79,7 +78,7 @@ def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int
                 zmask = rows[y] & rw
                 bad = zmask & ~rx if (rw >> y) & 1 else zmask & rx
                 if bad:
-                    return w, x, y, (bad & -bad).bit_length() - 1
+                    return w, x, y, _low(bad)
     return None
 
 
@@ -94,9 +93,8 @@ def _stability_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, i
             for c in bits(cmask):
                 # d distinct from a, b, c with the chord a -> d missing;
                 # d = a is already impossible since the loop aa is present
-                dmask = rb & rows[c] & ~abit & ~(1 << b) & ~(1 << c) & ~ra
-                for d in bits(dmask):
-                    return a, b, c, d
+                if dmask := rb & rows[c] & ~abit & ~(1 << b) & ~(1 << c) & ~ra:
+                    return a, b, c, _low(dmask)
     return None
 
 
@@ -142,27 +140,28 @@ def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:
     def found(kind, *quad):
         return StableWitness(kind, tuple(graph.vertices[q] for q in quad))
 
-    # balance: wx, xy, yz, wz arrows force the chords wy and xz to agree
+    # balance: wx, xy, yz, wz arrows force the chords wy and xz to agree;
+    # the innermost slot is one mask of the choices where they disagree
     for x in bits(rp):  # w = p
-        for y in bits(rows[x]):
-            for z in bits(rows[y] & rp):
-                if (rows[x] >> z) & 1 != (rp >> y) & 1:
-                    return found("balance", p, x, y, z)
+        rx = rows[x]
+        for y in bits(rx):
+            if bad := rows[y] & rp & (~rx if (rp >> y) & 1 else rx):
+                return found("balance", p, x, y, _low(bad))
     for w in bits(cp):  # x = p
+        rw = rows[w]
         for y in bits(rp):
-            for z in bits(rows[y] & rows[w]):
-                if (rp >> z) & 1 != (rows[w] >> y) & 1:
-                    return found("balance", w, p, y, z)
+            if bad := rows[y] & rw & (~rp if (rw >> y) & 1 else rp):
+                return found("balance", w, p, y, _low(bad))
     for x in bits(cp):  # y = p
+        rx, cx = rows[x], cols[x]
         for z in bits(rp):
-            for w in bits(cols[x] & cols[z]):
-                if (rows[x] >> z) & 1 != (rows[w] >> p) & 1:
-                    return found("balance", w, x, p, z)
+            if bad := cx & cols[z] & (~cp if (rx >> z) & 1 else cp):
+                return found("balance", _low(bad), x, p, z)
     for y in bits(cp):  # z = p
-        for x in bits(cols[y]):
-            for w in bits(cols[x] & cp):
-                if (rows[x] >> p) & 1 != (rows[w] >> y) & 1:
-                    return found("balance", w, x, y, p)
+        cy = cols[y]
+        for x in bits(cy):
+            if bad := cols[x] & cp & (~cy if (cp >> x) & 1 else cy):
+                return found("balance", _low(bad), x, y, p)
 
     # stability: distinct a, b, c, d with ab, ac, bc, bd, cd force ad; a
     # mask of "a's row missing" already excludes a and every vertex a
@@ -170,20 +169,20 @@ def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:
     pbit = 1 << p
     for b in bits(rp & ~pbit):  # a = p
         for c in bits(rp & rows[b] & ~pbit & ~(1 << b)):
-            for d in bits(rows[b] & rows[c] & ~rp):
-                return found("stability", p, b, c, d)
+            if dmask := rows[b] & rows[c] & ~rp:
+                return found("stability", p, b, c, _low(dmask))
     for a in bits(cp & ~pbit):  # b = p
         for c in bits(rows[a] & rp & ~(1 << a) & ~pbit):
-            for d in bits(rp & rows[c] & ~rows[a]):
-                return found("stability", a, p, c, d)
+            if dmask := rp & rows[c] & ~rows[a]:
+                return found("stability", a, p, c, _low(dmask))
     for a in bits(cp & ~pbit):  # c = p
         for b in bits(rows[a] & cp & ~(1 << a) & ~pbit):
-            for d in bits(rows[b] & rp & ~rows[a]):
-                return found("stability", a, b, p, d)
+            if dmask := rows[b] & rp & ~rows[a]:
+                return found("stability", a, b, p, _low(dmask))
     for b in bits(cp & ~pbit):  # d = p
         for c in bits(cp & rows[b] & ~(1 << b) & ~pbit):
-            for a in bits(cols[b] & cols[c] & ~cp):
-                return found("stability", a, b, c, p)
+            if amask := cols[b] & cols[c] & ~cp:
+                return found("stability", _low(amask), b, c, p)
     return None
 
 
@@ -225,9 +224,8 @@ def _clasp_witness(graph: DiGraph, i: int) -> Optional[tuple[str, str]]:
     if not ins or not outs:
         return None
     for w in bits(ins):
-        missing = outs & ~rows[w]
-        for y in bits(missing):
-            return graph.vertices[w], graph.vertices[y]
+        if missing := outs & ~rows[w]:
+            return graph.vertices[w], graph.vertices[_low(missing)]
     return None
 
 
@@ -243,9 +241,8 @@ def _lock_witness(graph: DiGraph, i: int) -> Optional[LockWitness]:
         heads = outs & rows[u]  # y or v candidates: (u, x, *) is a transitive triple
         for v in bits(heads):
             for w in bits(ins & cols[v]):
-                broken = heads & ~rows[w]
-                for y in bits(broken):
-                    return LockWitness(labels[u], labels[v], labels[w], labels[y])
+                if broken := heads & ~rows[w]:
+                    return LockWitness(labels[u], labels[v], labels[w], labels[_low(broken)])
     return None
 
 

@@ -95,7 +95,10 @@ def digraphs(draw, max_n: int = 4, force_reflexive: bool = False):
 
 
 def assert_valid_trace_json(payload: dict) -> None:
-    """Check a serialized expansion trace against the documented shape."""
+    """Check a serialized expansion trace against the documented shape, and
+    replay its records from the input: each one moves arrows of the graph
+    so far from the clasp to the new vertex, and the last graph is the
+    result."""
     from splitclosure import parse_digraph
 
     assert set(payload) == {"input", "iterations", "result", "map"}
@@ -104,6 +107,7 @@ def assert_valid_trace_json(payload: dict) -> None:
     assert isinstance(payload["map"], dict)
     assert set(payload["map"]) == set(result.vertices)
     assert set(payload["map"].values()) <= set(source.vertices)
+    current = source
     for k, record in enumerate(payload["iterations"], start=1):
         assert record["index"] == k
         assert isinstance(record["clasp"], str)
@@ -119,7 +123,16 @@ def assert_valid_trace_json(payload: dict) -> None:
             assert all(len(pair) == 2 for pair in record["T"])
         for key in ("removed", "added"):
             assert all(len(pair) == 2 for pair in record[key])
-        assert len(record["removed"]) == len(record["added"])
-        new = record["new_vertex"]
-        assert all(new in pair for pair in record["added"])
-        assert all(record["clasp"] in pair for pair in record["removed"])
+        clasp, new = record["clasp"], record["new_vertex"]
+        assert new not in current
+        removed = {tuple(pair) for pair in record["removed"]}
+        assert removed <= current.arrows
+        assert record["added"] == [
+            [new if v == clasp else v for v in pair] for pair in record["removed"]
+        ]
+        current = DiGraph(
+            current.vertices + (new,),
+            current.arrows - removed | {tuple(p) for p in record["added"]} | {(new, new)},
+        )
+    assert current.vertices == result.vertices
+    assert current.arrows == result.arrows

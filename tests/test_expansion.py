@@ -95,7 +95,8 @@ class TestConstructionA:
         for g, x in [(two_clasps, "2"), (path3, "y")]:
             ctx = clasp_context(g, x)
             record = construction_a(g, x, ctx, select_construction(g, x, ctx), "t1")
-            assert len(record.removed) == len(record.added)
+            assert set(record.tails) <= set(g.in_neighbors(x)) - {x}
+            assert set(record.heads) <= set(g.out_neighbors(x)) - {x}
             assert set(ctx.witness_heads) <= set(record.moved_heads)
 
     def test_refused_when_rule_b_applies(self, chain_middle):
