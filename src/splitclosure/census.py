@@ -22,21 +22,21 @@ import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .compression import CompressionMap, split_vertex, verify_compression
 from .digraph import DiGraph, _canonical_packed, _packed_matrix, bits, emit_digraph, is_star_acyclic
-from .errors import BoundExceeded, InvalidSplit, NotReflexive
+from .errors import BoundExceeded, InvalidSplit
 from .expansion import ExpansionOutcome, expand_to_preorder
 from .predicates import (
     _balance_witness,
+    _require_reflexive,
     _stability_witness,
+    _transitive_witness,
     clasp_vertices,
     clasps,
-    is_balanced,
     is_preordered,
     is_stable,
-    missing_loop,
     soloists,
     trans_triples,
 )
@@ -132,17 +132,20 @@ def canonical_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _witness_kind(rows: tuple[int, ...]) -> Optional[str]:
+    """The kind of the first stable witness of reflexive bit rows, or None."""
+    if _balance_witness(rows):
+        return "balance"
+    return "stability" if _stability_witness(rows) else None
+
+
 @functools.lru_cache(maxsize=None)
 def _classes_by_witness(n: int) -> Mapping[Optional[str], tuple[int, ...]]:
     """Canonical masks on ``n`` vertices, ascending, grouped by the kind of
     their first stable witness; the group None holds the stable classes."""
     groups: dict[Optional[str], list[int]] = {None: [], "balance": [], "stability": []}
     for mask in canonical_masks(n):
-        rows = _mask_rows(n, mask)
-        if _balance_witness(rows):
-            groups["balance"].append(mask)
-        else:
-            groups["stability" if _stability_witness(rows) else None].append(mask)
+        groups[_witness_kind(_mask_rows(n, mask))].append(mask)
     return MappingProxyType({kind: tuple(masks) for kind, masks in groups.items()})
 
 
@@ -156,24 +159,20 @@ def enumerate_reflexive(n: int) -> Iterator[DiGraph]:
 # -- minimal forbidden induced subgraphs ------------------------------------
 
 
-def _fails_balanced(graph: DiGraph) -> bool:
-    return not is_balanced(graph)[0]
+def _kind(graph: DiGraph) -> Optional[str]:
+    """How a reflexive graph falls short: "balance" or "stability" by its
+    first stable witness, "locked" if it is stable with a locked clasp, and
+    None if it is stable and all-unlocked."""
+    if kind := _witness_kind(graph._rows):
+        return kind
+    return "locked" if any(r.locked for r in clasps(graph)) else None
 
 
-def _fails_stable_given_balanced(graph: DiGraph) -> bool:
-    return is_balanced(graph)[0] and not is_stable(graph)[0]
-
-
-def _fails_unlocked_given_stable(graph: DiGraph) -> bool:
-    return is_stable(graph)[0] and any(r.locked for r in clasps(graph))
-
-
-# Per predicate: the full test on a graph, and the kind of stable witness
-# (None: stable) that the bit rows of every failing class have.
-_PREDICATES: dict[str, tuple[Callable[[DiGraph], bool], Optional[str]]] = {
-    "balanced": (_fails_balanced, "balance"),
-    "stable-given-balanced": (_fails_stable_given_balanced, "stability"),
-    "unlocked-given-stable": (_fails_unlocked_given_stable, None),
+# Per predicate: the kind of graph that fails it.
+_FAILING_KIND = {
+    "balanced": "balance",
+    "stable-given-balanced": "stability",
+    "unlocked-given-stable": "locked",
 }
 
 
@@ -214,26 +213,25 @@ def minimal_obstructions(predicate: str, n_max: int) -> ObstructionSet:
     representatives ordered by vertex count, then mask.
     """
     try:
-        fails, kind = _PREDICATES[predicate]
+        kind = _FAILING_KIND[predicate]
     except KeyError:
         raise ValueError(f"unknown predicate {predicate!r}") from None
     if not 1 <= n_max <= 5:
         raise BoundExceeded(f"obstruction search bound {n_max} outside 1..5")
     members = []
     for n in range(1, n_max + 1):
-        for mask in _classes_by_witness(n)[kind]:
+        # a locked class is stable: its bit rows have no witness
+        for mask in _classes_by_witness(n)[None if kind == "locked" else kind]:
             graph = graph_from_mask(n, mask)
-            if not fails(graph):
-                continue
-            minimal = True
-            for size in range(1, n):
-                for subset in itertools.combinations(graph.vertices, size):
-                    if fails(graph.induced(subset)):
-                        minimal = False
-                        break
-                if not minimal:
-                    break
-            if minimal:
+            # A balance witness, a stability witness and a clasp with its
+            # lock are arrow facts among their own vertices, so each survives
+            # in every induced supergraph, and balanced and stable are
+            # hereditary.  Failing one way is thus upward-closed: a smaller
+            # failing subgraph lies inside some failing one-vertex deletion.
+            if _kind(graph) == kind and all(
+                _kind(graph.induced(rest)) != kind
+                for rest in itertools.combinations(graph.vertices, n - 1)
+            ):
                 name = f"{predicate}-obstruction-{len(members) + 1}"
                 members.append(DiGraph._from_rows(graph.vertices, graph._rows, name, graph._cols))
     return ObstructionSet(predicate, n_max, tuple(members))
@@ -265,9 +263,7 @@ def oracle_preorder_expansion(
     search order) that is preordered and verifies as a compression is
     returned; None means no expansion exists within the bound.
     """
-    loopless = missing_loop(target)
-    if loopless is not None:
-        raise NotReflexive(loopless)
+    _require_reflexive(target)
     n = len(target.vertices)
     if max_extra < 0 or n + max_extra > 8:
         raise BoundExceeded(f"search size {n}+{max_extra} outside 1..8")
@@ -287,6 +283,7 @@ def oracle_preorder_expansion(
                     fiber.append(label)
                 copies[v] = fiber
                 source_vertices.extend(fiber)
+            assignment = {c: v for v, fiber in copies.items() for c in fiber}
             index = {name: i for i, name in enumerate(source_vertices)}
             loops = [1 << i for i in range(total)]
             option_lists = []
@@ -302,24 +299,9 @@ def oracle_preorder_expansion(
                 rows = list(loops)
                 for iu, iw in choice:
                     rows[iu] |= 1 << iw
-                transitive = True
-                for i in range(total):
-                    row = rows[i]
-                    probe = row & ~(1 << i)
-                    while probe:
-                        low = probe & -probe
-                        if rows[low.bit_length() - 1] & ~row:
-                            transitive = False
-                            break
-                        probe ^= low
-                    if not transitive:
-                        break
-                if not transitive:
+                if _transitive_witness(rows) is not None:
                     continue
                 candidate = DiGraph._from_rows(tuple(source_vertices), tuple(rows))
-                assignment = {
-                    c: v for v, fiber in copies.items() for c in fiber
-                }
                 cmap = CompressionMap(candidate, target, assignment)
                 if verify_compression(cmap).valid:
                     return candidate, cmap
@@ -451,10 +433,11 @@ def _compression_theorem_holds(cmap: CompressionMap, memo: dict) -> Optional[str
     balanced, stable, preordered and locked-clasp verdicts across maps sharing graphs."""
     for graph in (cmap.source, cmap.target):
         if graph not in memo:
-            stable, witness = is_stable(graph)
-            balanced = stable or witness.kind == "stability"
-            locked = any(r.locked for r in clasps(graph))
-            memo[graph] = (balanced, stable, is_preordered(graph), locked)
+            kind = _kind(graph)
+            stable = kind in (None, "locked")
+            # the lock test below also reads an unstable target's clasps
+            locked = kind == "locked" if stable else any(r.locked for r in clasps(graph))
+            memo[graph] = (kind != "balance", stable, is_preordered(graph), locked)
     src, tgt = memo[cmap.source], memo[cmap.target]
     if tgt[0] and not src[0]:
         return "balanced not inherited"
@@ -610,8 +593,10 @@ def validate_theorems(n_max: int) -> ValidationReport:
         for n in range(1, n_max + 1)
         for mask in _classes_by_witness(n)[None]
     ]
-    locked = [graph for graph in stable if any(r.locked for r in clasps(graph))]
-    unlocked = [graph for graph in stable if graph not in locked]
+    by_kind: dict[Optional[str], list[DiGraph]] = {"locked": [], None: []}
+    for graph in stable:
+        by_kind[_kind(graph)].append(graph)
+    locked, unlocked = by_kind["locked"], by_kind[None]
     outcomes: list[tuple[DiGraph, ExpansionOutcome]] = []
     checks = (  # in order: check (e) reads the outcomes check (a) leaves
         _run_check("main-theorem-positive", _positive_cases(unlocked, outcomes)),

@@ -174,13 +174,14 @@ def _cmd_check(args) -> int:
 def _cmd_expand(args) -> int:
     graph = _read_graph(args.file)
     outcome = expand_to_preorder(graph)
-    result_text = emit_digraph(outcome.result, "dg")
+    trace = outcome.to_json() if args.trace else None
+    result_text = trace["result"] if trace else emit_digraph(outcome.result, "dg")
     if args.output:
         _write_atomic(args.output, result_text)
     else:
         sys.stdout.write(result_text)
-    if args.trace:
-        _write_atomic(args.trace, _dumps(outcome.to_json()) + "\n")
+    if trace:
+        _write_atomic(args.trace, _dumps(trace) + "\n")
     if args.dot:
         _write_atomic(args.dot, emit_digraph(outcome.result, "dot"))
     return EXIT_OK

@@ -51,13 +51,14 @@ def identity_map(graph: DiGraph) -> CompressionMap:
     return CompressionMap(graph, graph, {v: v for v in graph.vertices})
 
 
-_CONDITIONS = (
-    "not-surjective",
-    "cond1",
-    "cond2",
-    "cond3-not-well-defined",
-    "cond3-not-injective",
-)
+# Per condition: the message of a violation, formatted from its witness.
+_MESSAGES = {
+    "not-surjective": "violation not-surjective: target vertex {0} has no preimage",
+    "cond1": "violation cond1: image of arrow {0} {1} is not a target arrow",
+    "cond2": "violation cond2: transitive triple ({0}, {1}, {2}) has no lift",
+    "cond3-not-well-defined": "violation cond3: non-loop arrow {0} {1} collapses to a loop",
+    "cond3-not-injective": "violation cond3: arrows {0[0]} {0[1]} and {1[0]} {1[1]} share an image",
+}
 
 
 @dataclass(frozen=True)
@@ -71,23 +72,9 @@ class CompressionVerdict:
     def describe(self) -> str:
         if self.valid:
             return "Valid"
-        if self.condition == "not-surjective":
-            return f"violation not-surjective: target vertex {self.witness[0]} has no preimage"
-        if self.condition == "cond1":
-            u, v = self.witness
-            return f"violation cond1: image of arrow {u} {v} is not a target arrow"
-        if self.condition == "cond2":
-            a, b, c = self.witness
-            return f"violation cond2: transitive triple ({a}, {b}, {c}) has no lift"
-        if self.condition == "cond3-not-well-defined":
-            u, v = self.witness
-            return f"violation cond3: non-loop arrow {u} {v} collapses to a loop"
-        if self.condition == "cond3-not-injective":
-            (u1, v1), (u2, v2) = self.witness
-            return (
-                f"violation cond3: arrows {u1} {v1} and {u2} {v2} share an image"
-            )
-        return f"violation {self.condition}: {self.witness}"
+        if self.condition not in _MESSAGES:
+            return f"violation {self.condition}: {self.witness}"
+        return _MESSAGES[self.condition].format(*self.witness)
 
 
 VALID = CompressionVerdict(True)

@@ -305,31 +305,16 @@ def is_isomorphic(first: DiGraph, second: DiGraph) -> Optional[dict[str, str]]:
 
 def is_star_acyclic(graph: DiGraph) -> bool:
     """True iff the graph with loops removed has no directed cycle."""
-    n = len(graph.vertices)
-    rows = [graph._rows[i] & ~(1 << i) for i in range(n)]
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, rows[root])]
-        state[root] = 1
-        while stack:
-            node, todo = stack[-1]
-            advanced = False
-            for j in bits(todo):
-                todo &= ~(1 << j)
-                stack[-1] = (node, todo)
-                if state[j] == 1:
-                    return False
-                if state[j] == 0:
-                    state[j] = 1
-                    stack.append((j, rows[j]))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return True
+    # Kahn's peeling: a vertex is ready once all its tails are peeled, and
+    # the loop below visits the vertices it appends as it goes
+    indegree = [(col & ~(1 << i)).bit_count() for i, col in enumerate(graph._cols)]
+    ready = [i for i, d in enumerate(indegree) if not d]
+    for i in ready:
+        for j in bits(graph._rows[i] & ~(1 << i)):
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return len(ready) == len(indegree)
 
 
 # -- dg / DOT text formats --------------------------------------------------

@@ -9,7 +9,7 @@ order so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .digraph import DiGraph, _low, bits
 from .errors import NotReflexive
@@ -30,16 +30,24 @@ def _require_reflexive(graph: DiGraph) -> None:
         raise NotReflexive(v)
 
 
+def _transitive_witness(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """First index triple (x, y, z) of bit rows with xy, yz arrows and xz
+    missing, or None.  The heads y are walked inline, not through ``bits``,
+    since the bounded oracle scans every candidate it builds."""
+    for x, rx in enumerate(rows):
+        probe = rx
+        while probe:
+            y = (probe & -probe).bit_length() - 1
+            if missing := rows[y] & ~rx:
+                return x, y, _low(missing)
+            probe &= probe - 1
+    return None
+
+
 def transitive_witness(graph: DiGraph) -> Optional[tuple[str, str, str]]:
     """First triple (x, y, z) with xy, yz present but xz missing."""
-    rows = graph._rows
-    labels = graph.vertices
-    for x in range(len(labels)):
-        rx = rows[x]
-        for y in bits(rx):
-            if missing := rows[y] & ~rx:
-                return labels[x], labels[y], labels[_low(missing)]
-    return None
+    found = _transitive_witness(graph._rows)
+    return None if found is None else tuple(graph.vertices[i] for i in found)
 
 
 def is_transitive(graph: DiGraph) -> bool:

@@ -155,6 +155,16 @@ class TestBitRowFastPaths:
         assert sum(len(g) for g in groups.values()) == len(canonical_masks(n))
 
 
+@st.composite
+def locked_plus_one(draw):
+    """A stable class with a locked clasp, plus a vertex f joined to it at random."""
+    base = graph_from_mask(5, 1500)
+    ins = draw(st.sets(st.sampled_from(base.vertices)))
+    outs = draw(st.sets(st.sampled_from(base.vertices)))
+    arrows = set(base.arrows) | {(v, "f") for v in ins} | {("f", v) for v in outs}
+    return DiGraph(base.vertices + ("f",), arrows | {("f", "f")})
+
+
 def _fails(predicate, g):
     if predicate == "balanced":
         return not naive_balanced(g)
@@ -195,7 +205,13 @@ class TestObstructions:
 
     @pytest.mark.parametrize(
         "predicate,n_max",
-        [("balanced", 4), ("stable-given-balanced", 4), ("unlocked-given-stable", 5)],
+        [
+            ("balanced", 4),
+            ("stable-given-balanced", 4),
+            ("unlocked-given-stable", 5),
+            ("balanced", 5),
+            ("stable-given-balanced", 5),
+        ],
     )
     def test_soundness_against_naive_checkers(self, predicate, n_max):
         obstruction_set = minimal_obstructions(predicate, n_max)
@@ -205,6 +221,26 @@ class TestObstructions:
             for size in range(1, len(g.vertices)):
                 for subset in itertools.combinations(g.vertices, size):
                     assert not _fails(predicate, g.induced(subset))
+
+    def test_member_counts_at_five_vertices(self):
+        counts = [
+            len(minimal_obstructions(predicate, 5).members)
+            for predicate in ("balanced", "stable-given-balanced", "unlocked-given-stable")
+        ]
+        assert counts == [9, 4, 2]
+
+    # Minimality is tested on one-vertex deletions only, which is sound
+    # because the severity of a graph's kind never drops when a vertex is
+    # added: witnesses and locks survive in supergraphs, and balanced and
+    # stable are hereditary.
+    @given(st.one_of(digraphs(max_n=7, force_reflexive=True), locked_plus_one()))
+    @settings(max_examples=200, deadline=None)
+    def test_kind_severity_never_drops_when_a_vertex_is_added(self, g):
+        severity = {None: 0, "locked": 1, "stability": 2, "balance": 3}
+        kind = severity[census._kind(g)]
+        for v in g.vertices:
+            rest = [u for u in g.vertices if u != v]
+            assert kind >= severity[census._kind(g.induced(rest))]
 
     def test_members_pairwise_non_isomorphic(self):
         members = minimal_obstructions("balanced", 4).members

@@ -10,6 +10,7 @@ from conftest import digraphs, reflexive
 from splitclosure import (
     ChainMismatch,
     CompressionMap,
+    CompressionVerdict,
     DiGraph,
     DomainMismatch,
     DuplicateVertex,
@@ -142,6 +143,28 @@ class TestVerify:
             CompressionMap(doubled, target, {"x": "a", "x2": "a", "y": "b"})
         )
         assert "share an image" in cond3i.describe()
+
+    @pytest.mark.parametrize(
+        "condition,witness,text",
+        [
+            ("not-surjective", ("z",), "violation not-surjective: target vertex z has no preimage"),
+            ("cond1", ("a", "b"), "violation cond1: image of arrow a b is not a target arrow"),
+            ("cond2", ("x", "y", "z"), "violation cond2: transitive triple (x, y, z) has no lift"),
+            (
+                "cond3-not-well-defined",
+                ("x", "y"),
+                "violation cond3: non-loop arrow x y collapses to a loop",
+            ),
+            (
+                "cond3-not-injective",
+                (("x", "y"), ("x2", "y")),
+                "violation cond3: arrows x y and x2 y share an image",
+            ),
+            ("cond9", ("p", ("q", "r")), "violation cond9: ('p', ('q', 'r'))"),
+        ],
+    )
+    def test_violation_descriptions_are_pinned(self, condition, witness, text):
+        assert CompressionVerdict(False, condition, witness).describe() == text
 
 
 class TestTransitiveInducing:

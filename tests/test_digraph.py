@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -447,6 +448,22 @@ class TestStarAcyclic:
     def test_long_cycle(self):
         g = reflexive("abc", [("a", "b"), ("b", "c"), ("c", "a")])
         assert not is_star_acyclic(g)
+
+    @given(digraphs(max_n=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_closure_of_the_star(self, g):
+        closure = g.star().transitive_closure()
+        assert is_star_acyclic(g) == (not any(closure.has_arrow(v, v) for v in g.vertices))
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    def test_three_thousand_vertices_finish_quickly(self, closed):
+        n = 3000
+        labels = [f"v{i}" for i in range(n)]
+        arrows = list(zip(labels, labels[1:])) + ([(labels[-1], labels[0])] if closed else [])
+        g = reflexive(labels, arrows)
+        start = time.perf_counter()
+        assert is_star_acyclic(g) is not closed
+        assert time.perf_counter() - start < 0.5
 
 
 class TestConstruction:
