@@ -25,7 +25,6 @@ from .compression import (
     CompressionMap,
     CompressionVerdict,
     compose,
-    identity_map,
     parse_map_file,
     split_vertex,
     verify_compression,

@@ -593,10 +593,11 @@ def validate_theorems(n_max: int) -> ValidationReport:
         for n in range(1, n_max + 1)
         for mask in _classes_by_witness(n)[None]
     ]
-    by_kind: dict[Optional[str], list[DiGraph]] = {"locked": [], None: []}
+    # the stable classes have passed the balance and stability scans, so
+    # only their clasps and locks are left to read
+    locked, unlocked = [], []
     for graph in stable:
-        by_kind[_kind(graph)].append(graph)
-    locked, unlocked = by_kind["locked"], by_kind[None]
+        (locked if any(r.locked for r in clasps(graph)) else unlocked).append(graph)
     outcomes: list[tuple[DiGraph, ExpansionOutcome]] = []
     checks = (  # in order: check (e) reads the outcomes check (a) leaves
         _run_check("main-theorem-positive", _positive_cases(unlocked, outcomes)),

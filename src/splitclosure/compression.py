@@ -40,15 +40,8 @@ class CompressionMap:
     def apply(self, v: str) -> str:
         return self.assignment[v]
 
-    def as_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple((v, self.assignment[v]) for v in self.source.vertices)
-
     def to_json(self) -> dict:
         return {v: self.assignment[v] for v in self.source.vertices}
-
-
-def identity_map(graph: DiGraph) -> CompressionMap:
-    return CompressionMap(graph, graph, {v: v for v in graph.vertices})
 
 
 # Per condition: the message of a violation, formatted from its witness.
@@ -125,22 +118,41 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
         if bad:
             return CompressionVerdict(False, "cond1", (s_labels[u], s_labels[_low(bad)]))
 
-    # cond2: for each target arrow a1 -> a2, collect every x3 closing a
-    # source triple x1 -> x2 -> x3 (with x1 -> x3) over the two fibers; a
-    # target triple (a1, a2, a3) lifts iff that set meets a3's fiber
+    # cond2: reach[a] holds the targets of the source arrows out of
+    # fiber(a).  The source is reflexive, so a triple (a, a, b) or (a, b, b)
+    # lifts iff b is in reach[a] (take x2 = x1 or x3 = x2).  Only a3 apart
+    # from a1 and a2, or a3 = a1 on a 2-cycle, needs the walk: for the
+    # target arrow a1 -> a2 collect every x3 closing a source triple
+    # x1 -> x2 -> x3 (with x1 -> x3) over the two fibers, and (a1, a2, a3)
+    # lifts iff that set meets a3's fiber.  Per (a1, a2) the failing a3 of
+    # every kind form one mask, whose lowest bit is the first failure.
+    reach = [0] * len(t_labels)
+    for u, row in enumerate(s_rows):
+        images = 0
+        for v in bits(row):
+            images |= 1 << f[v]
+        reach[f[u]] |= images
     for a1, r1 in enumerate(t_rows):
-        f1 = fibers[a1]
+        f1, unreached = fibers[a1], r1 & ~reach[a1]
         for a2 in bits(r1):
-            f2 = fibers[a2]
-            closing = 0
-            for x1 in bits(f1):
-                s1 = s_rows[x1]
-                for x2 in bits(s1 & f2):
-                    closing |= s1 & s_rows[x2]
-            for a3 in bits(t_rows[a2] & r1):
-                if not closing & fibers[a3]:
-                    triple = (t_labels[a1], t_labels[a2], t_labels[a3])
-                    return CompressionVerdict(False, "cond2", triple)
+            if a2 == a1:
+                bad = unreached
+            else:
+                a2bit = 1 << a2
+                bad = unreached & a2bit
+                if walk := t_rows[a2] & r1 & ~a2bit:
+                    f2 = fibers[a2]
+                    closing = 0
+                    for x1 in bits(f1):
+                        s1 = s_rows[x1]
+                        for x2 in bits(s1 & f2):
+                            closing |= s1 & s_rows[x2]
+                    for a3 in bits(walk):
+                        if not closing & fibers[a3]:
+                            bad |= 1 << a3
+            if bad:
+                triple = (t_labels[a1], t_labels[a2], t_labels[_low(bad)])
+                return CompressionVerdict(False, "cond2", triple)
 
     # cond3: non-loop arrows map one-to-one onto non-loop target arrows
     m = len(t_labels)

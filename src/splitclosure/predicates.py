@@ -363,7 +363,13 @@ def property_report(graph: DiGraph) -> PropertyReport:
     reflexive = loopless is None
     t_witness = transitive_witness(graph)
     transitive = t_witness is None
-    if reflexive:
+    if reflexive and transitive:
+        # A preorder is balanced, stable and clasp-free: wx, xy give wy and
+        # xy, yz give xz; ab, bd give ad; and a clasp needs a missing chord.
+        balanced = stable = True
+        b_witness = s_witness = None
+        clasp_records, solo = (), soloists(graph)
+    elif reflexive:
         # is_stable scans balance first, so its witness also settles balance
         stable, s_witness = is_stable(graph)
         balanced = stable or s_witness.kind != "balance"

@@ -51,7 +51,6 @@ PUBLIC_NAMES = [
     "expand_once",
     "expand_to_preorder",
     "graph_from_mask",
-    "identity_map",
     "is_balanced",
     "is_isomorphic",
     "is_preordered",

@@ -1,10 +1,12 @@
 """Differential oracles for the bit-row ``check`` and ``verify`` paths.
 
 ``verify_compression`` works on an index array and per-target fiber
-masks, ``_balance_witness`` tests each (w, x, y) with one mask, and
-``property_report`` derives balance from the ``is_stable`` witness.  The
-references here are the direct label-level definitions: every verdict,
-witness, exception type and message must agree with them.
+masks and settles loop triples by one reach mask per target vertex,
+``_balance_witness`` tests each (w, x, y) with one mask, and
+``property_report`` derives balance from the ``is_stable`` witness and
+skips the scans on a preorder.  The references here are the direct
+label-level definitions and the full scans: every verdict, witness,
+exception type and message must agree with them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from splitclosure import (
     clasps,
     graph_from_mask,
     is_balanced,
+    is_preordered,
     is_stable,
     locked_status,
     parse_digraph,
@@ -112,6 +115,11 @@ def outcome(verify, cmap):
     return verdict.valid, verdict.condition, verdict.witness
 
 
+def triple_kind(a: str, b: str, c: str) -> str:
+    """The repeat pattern of a triple: "aab", "abb", "aba" or "abc"."""
+    return "aab" if a == b else "abb" if b == c else "aba" if a == c else "abc"
+
+
 def random_map(rng: random.Random) -> CompressionMap:
     """A small map: the target is the image of the source under a random
     assignment with a few cells toggled, so every condition can fail;
@@ -152,6 +160,8 @@ class TestVerifyCompression:
             got = outcome(verify_compression, cmap)
             assert got == outcome(reference_verify, cmap), seed
             reached.add(got[0] if isinstance(got[0], type) else got[1])
+            if got[1] == "cond2":
+                reached.add(triple_kind(*got[2]))
         assert reached == {
             None,
             "not-surjective",
@@ -161,7 +171,33 @@ class TestVerifyCompression:
             "cond3-not-injective",
             DomainMismatch,
             NotReflexive,
+            "aab",
+            "abb",
+            "aba",
+            "abc",
         }
+
+    @pytest.mark.parametrize(
+        "source, arrows, assignment, target, first",
+        [
+            # no source arrow runs from fiber(a) to fiber(b)
+            ("ab", [], {}, [("a", "b")], ("a", "a", "b")),
+            # the same, reached through a lower second vertex: (y, x, x)
+            # comes before (y, y, x)
+            ("xy", [], {}, [("y", "x")], ("y", "x", "x")),
+            # a 2-cycle whose walk from a through b lands on a2 only, and
+            # a -> a2 would lie inside a fiber
+            ("a2b", [("a", "b"), ("b", "2")], {"2": "a"}, [("a", "b"), ("b", "a")],
+             ("a", "b", "a")),
+        ],
+    )
+    def test_first_failure_of_each_loop_kind(self, source, arrows, assignment, target, first):
+        src = reflexive(source, arrows)
+        tgt = reflexive(sorted(set(source) - set(assignment)), target)
+        cmap = CompressionMap(src, tgt, {v: assignment.get(v, v) for v in source})
+        expected = (False, "cond2", first)
+        assert outcome(verify_compression, cmap) == expected
+        assert outcome(reference_verify, cmap) == expected
 
     def test_matches_reference_on_golden_expansion(self):
         source = parse_digraph((GOLDEN / "layered-0.dg").read_text(encoding="utf-8"))
@@ -246,7 +282,49 @@ def unbalanced_examples():
         yield graph_from_mask(5, mask)
 
 
+def preorder_examples():
+    # every preordered class up to five vertices, then the golden expansion
+    for n in range(1, 6):
+        for mask in canonical_masks(n):
+            graph = graph_from_mask(n, mask)
+            if is_preordered(graph):
+                yield graph
+    yield parse_digraph((GOLDEN / "layered-0.result.dg").read_text(encoding="utf-8"))
+
+
+@st.composite
+def closed_rows(draw):
+    """Bit rows of the transitive closure of a random reflexive graph."""
+    rows = list(draw(reflexive_rows(max_n=9)))
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if (rows[i] >> k) & 1:
+                rows[i] |= rows[k]
+    return tuple(rows)
+
+
+def assert_report_matches_full_scans(graph):
+    report = property_report(graph)
+    assert report.preordered
+    assert (report.balanced, report.balanced_witness) == is_balanced(graph)
+    assert (report.stable, report.stable_witness) == is_stable(graph)
+    assert report.clasps == clasps(graph)
+
+
 class TestPropertyReport:
+    def test_preorders_match_full_scans(self):
+        graphs = list(preorder_examples())
+        # the unlabeled preorders (finite topologies) on 1..5 points
+        assert len(graphs) == 1 + 3 + 9 + 33 + 139 + 1
+        for graph in graphs:
+            assert_report_matches_full_scans(graph)
+
+    @given(closed_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_closures_match_full_scans(self, rows):
+        labels = tuple(f"v{i}" for i in range(len(rows)))
+        assert_report_matches_full_scans(DiGraph._from_rows(labels, rows))
+
     def test_balance_fields_match_is_balanced(self):
         graphs = [graph_from_mask(n, mask) for n in range(1, 5) for mask in canonical_masks(n)]
         graphs += list(unbalanced_examples())
@@ -274,6 +352,10 @@ class TestPropertyReport:
             calls.clear()
             property_report(g)
             assert len(calls) == 1
+        # a preorder is balanced without a scan
+        for g in preorder_examples():
+            property_report(g)
+        assert len(calls) == 1
 
     def test_one_reflexivity_scan_per_report(self, monkeypatch):
         scans = []
