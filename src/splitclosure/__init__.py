@@ -16,7 +16,6 @@ from .census import (
     contains_induced,
     enumerate_reflexive,
     graph_from_mask,
-    mask_from_graph,
     minimal_obstructions,
     oracle_preorder_expansion,
     validate_theorems,
@@ -48,7 +47,6 @@ from .errors import (
     InternalInvariantBreached,
     InvalidSplit,
     LockedClasp,
-    NotAClasp,
     NotReflexive,
     NotStable,
     ParseError,
@@ -60,10 +58,8 @@ from .expansion import (
     ConstructionChoice,
     ExpansionOutcome,
     IterationRecord,
-    clasp_context,
     construction_a,
     construction_b,
-    expand_once,
     expand_to_preorder,
     select_construction,
 )
@@ -72,11 +68,9 @@ from .predicates import (
     LockStatus,
     PropertyReport,
     StableWitness,
-    clasp_vertices,
     clasps,
     is_balanced,
     is_preordered,
-    is_reflexive,
     is_stable,
     is_transitive,
     locked_status,

@@ -33,7 +33,6 @@ from .predicates import (
     _require_reflexive,
     _stability_witness,
     _transitive_witness,
-    clasp_vertices,
     clasps,
     is_preordered,
     is_stable,
@@ -72,17 +71,6 @@ def _mask_rows(n: int, mask: int) -> tuple[int, ...]:
 def graph_from_mask(n: int, mask: int, name: Optional[str] = None) -> DiGraph:
     """Reflexive graph on letter vertices from a packed non-loop mask."""
     return DiGraph._from_rows(_LABELS[:n], _mask_rows(n, mask), name)
-
-
-def mask_from_graph(graph: DiGraph) -> int:
-    n = len(graph.vertices)
-    pos = _positions(n)
-    width = len(pos)
-    mask = 0
-    for p, (i, j) in enumerate(pos):
-        if (graph._rows[i] >> j) & 1:
-            mask |= 1 << (width - 1 - p)
-    return mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -517,7 +505,7 @@ def _negative_cases(locked: list[DiGraph]) -> _Cases:
 def _clasp_cases(stable: list[DiGraph]) -> _Cases:
     """(c) Every clasp of a stable graph is a soloist."""
     for graph in stable:
-        ok = set(clasp_vertices(graph)) <= set(soloists(graph))
+        ok = {r.vertex for r in clasps(graph)} <= set(soloists(graph))
         yield graph, 1, None if ok else "clasp that is not a soloist"
 
 

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -53,11 +54,21 @@ def _read_graph(path: str) -> DiGraph:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` in one rename.  The file keeps the mode
+    of the file it replaces; a new one gets ``0o666`` less the umask, as
+    ``open`` would give it (``mkstemp`` itself always creates 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".splitclosure-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -317,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, DomainMismatch, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,9 +37,6 @@ class CompressionMap:
     target: DiGraph
     assignment: Mapping[str, str]
 
-    def apply(self, v: str) -> str:
-        return self.assignment[v]
-
     def to_json(self) -> dict:
         return {v: self.assignment[v] for v in self.source.vertices}
 

@@ -194,9 +194,6 @@ class DiGraph:
             return total
         return total - sum((row >> i) & 1 for i, row in enumerate(self._rows))
 
-    def non_loop_arrows(self) -> frozenset[tuple[str, str]]:
-        return frozenset((u, v) for (u, v) in self.arrows if u != v)
-
     @functools.cached_property
     def _missing_loop(self) -> Optional[str]:
         """First vertex (in order) without a loop, or None; the one

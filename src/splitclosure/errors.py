@@ -29,10 +29,6 @@ class NotStable(GraphError):
     """Operation requires a stable graph; carries the violating witness."""
 
 
-class NotAClasp(GraphError):
-    """The chosen vertex is not a clasp."""
-
-
 class LockedClasp(GraphError):
     """The graph has a locked clasp, so no preordered expansion exists."""
 

@@ -41,17 +41,10 @@ from typing import Optional
 
 from .compression import CompressionMap, _split_rows, verify_compression
 from .digraph import DiGraph, _label_mask, _low, bits, emit_digraph
-from .errors import (
-    InternalInvariantBreached,
-    LockedClasp,
-    NotAClasp,
-    NotStable,
-    PreconditionViolated,
-)
+from .errors import InternalInvariantBreached, LockedClasp, NotStable, PreconditionViolated
 from .predicates import (
     _clasp_witness,
     _lock_witness,
-    _require_reflexive,
     _stable_witness_at,
     clasps,
     is_preordered,
@@ -102,9 +95,6 @@ class IterationRecord:
     tails: tuple[str, ...]
     heads: tuple[str, ...]
     new_vertex: str
-
-    # rule A: the successors rerouted to the new vertex
-    moved_heads = property(lambda self: self.heads if self.choice.kind == "A" else None)
 
     def _arrows_at(self, v: str) -> tuple[tuple[str, str], ...]:
         """The arrows a -> v and v -> b for the tails a and the heads b."""
@@ -166,15 +156,11 @@ class ExpansionOutcome:
         }
 
 
-def clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
-    """Compute the witness heads and triple tails for a clasp."""
-    _require_reflexive(graph)
-    return _clasp_context(graph, vertex)
-
-
 def _clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
-    # no reflexivity scan: it costs O(n) per split, and the split loop
-    # checks the loops at x and t itself
+    """The witness heads and triple tails of a clasp.  The loop passes only
+    vertices of its clasp mask, so a non-clasp here is a bug.  No
+    reflexivity scan: it costs O(n) per split, and the split loop checks
+    the loops at x and t itself."""
     i = graph.index(vertex)
     rows = graph._rows
     cols = graph._cols
@@ -187,7 +173,7 @@ def _clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
         if ins_any & ~cols[y]:
             head_mask |= 1 << y
     if not head_mask:
-        raise NotAClasp(vertex)
+        raise InternalInvariantBreached(f"{vertex} is not a clasp")
     tail_mask = 0
     for a in bits(cols[i] & ~ibit):
         if rows[a] & head_mask:
@@ -303,7 +289,7 @@ def construction_b(
     return IterationRecord(index, vertex, ctx, choice, tuple(pairs), tails, heads, new_vertex)
 
 
-def fresh_vertex(graph: DiGraph, start: int = 1) -> tuple[str, int]:
+def _fresh_vertex(graph: DiGraph, start: int) -> tuple[str, int]:
     """Smallest unused t<k> label at or after ``start``."""
     k = start
     while f"t{k}" in graph:
@@ -311,20 +297,13 @@ def fresh_vertex(graph: DiGraph, start: int = 1) -> tuple[str, int]:
     return f"t{k}", k + 1
 
 
-def _check_preconditions(graph: DiGraph, vertex: Optional[str] = None) -> int:
-    """Raise unless ``graph`` is stable with every clasp unlocked and, when
-    given, ``vertex`` is a clasp; return the bitmask of the clasps."""
+def _check_preconditions(graph: DiGraph) -> int:
+    """Raise unless ``graph`` is stable with every clasp unlocked; return
+    the bitmask of the clasps."""
     stable, witness = is_stable(graph)
     if not stable:
         raise NotStable(witness)
     records = clasps(graph)
-    if vertex is not None:
-        graph.index(vertex)  # UnknownVertex before NotAClasp
-        chosen = [r for r in records if r.vertex == vertex]
-        if not chosen:
-            raise NotAClasp(vertex)
-        if chosen[0].locked:
-            raise LockedClasp(vertex, chosen[0].lock_witness)
     for record in records:
         if record.locked:
             raise LockedClasp(record.vertex, record.lock_witness)
@@ -399,10 +378,11 @@ def _check_step_map(state: _SplitState, x: int, t: int, old_row: int, old_col: i
 class _SplitState:
     """The graph under expansion as mutable bit rows, split in place.
 
-    Offers the read interface of ``DiGraph`` that the rule functions use
-    (``vertices``, ``_rows``, ``_cols``, ``index``, ``in``), so they run on
-    it unchanged.  ``parent[i]`` is the vertex that vertex i was split from
-    (i itself for an input vertex); ``clasp_mask`` has a bit per clasp.
+    Offers the read interface of ``DiGraph`` that the rule functions and
+    ``_fresh_vertex`` use (``vertices``, ``_rows``, ``_cols``, ``index``,
+    ``has_arrow``, ``in``), so they run on it unchanged.  ``parent[i]`` is
+    the vertex that vertex i was split from (i itself for an input
+    vertex); ``clasp_mask`` has a bit per clasp.
     """
 
     def __init__(self, graph: DiGraph, clasp_mask: int):
@@ -422,7 +402,7 @@ class _SplitState:
     def split(self, x: int, index: int) -> IterationRecord:
         """Split clasp ``x`` into a fresh vertex, then re-check locally."""
         vertex = self.vertices[x]
-        new_vertex, self._next_name = fresh_vertex(self, self._next_name)
+        new_vertex, self._next_name = _fresh_vertex(self, self._next_name)
         ctx = _clasp_context(self, vertex)
         choice = select_construction(self, vertex, ctx)
         rule = construction_a if choice.kind == "A" else construction_b
@@ -468,17 +448,6 @@ class _SplitState:
         labels = self.vertices
         assignment = {v: labels[r] for v, r in zip(labels, root)}
         return CompressionMap(result, self.source, assignment)
-
-
-def expand_once(
-    graph: DiGraph, vertex: str, index: int = 1
-) -> tuple[DiGraph, CompressionMap, IterationRecord]:
-    """Run one iteration at the given clasp of a stable graph whose clasps
-    are all unlocked; the split is checked as in ``expand_to_preorder``."""
-    state = _SplitState(graph, _check_preconditions(graph, vertex))
-    record = state.split(graph.index(vertex), index)
-    expanded = state.graph()
-    return expanded, state.mapping(expanded), record
 
 
 def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:

@@ -20,10 +20,6 @@ def missing_loop(graph: DiGraph) -> Optional[str]:
     return graph._missing_loop
 
 
-def is_reflexive(graph: DiGraph) -> bool:
-    return graph.is_reflexive()
-
-
 def _require_reflexive(graph: DiGraph) -> None:
     v = missing_loop(graph)
     if v is not None:
@@ -55,7 +51,7 @@ def is_transitive(graph: DiGraph) -> bool:
 
 
 def is_preordered(graph: DiGraph) -> bool:
-    return is_reflexive(graph) and is_transitive(graph)
+    return graph.is_reflexive() and is_transitive(graph)
 
 
 def trans_triples(graph: DiGraph) -> frozenset[tuple[str, str, str]]:
@@ -282,10 +278,6 @@ def clasps(graph: DiGraph) -> tuple[ClaspRecord, ...]:
         lock = _lock_witness(graph, i)
         records.append(ClaspRecord(v, witness, lock is not None, lock))
     return tuple(records)
-
-
-def clasp_vertices(graph: DiGraph) -> tuple[str, ...]:
-    return tuple(r.vertex for r in clasps(graph))
 
 
 def soloists(graph: DiGraph) -> tuple[str, ...]:

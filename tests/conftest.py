@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from splitclosure import DiGraph
+from splitclosure import CompressionMap, DiGraph
 
 
 def reflexive(vertices, arrows, name=None) -> DiGraph:
@@ -80,6 +80,14 @@ def locked5() -> DiGraph:
          ("w", "x"), ("w", "v")],
         name="locked5",
     )
+
+
+def step_map(record, graph: DiGraph) -> CompressionMap:
+    """The map of one traced split: from ``record.apply(graph)`` back onto
+    ``graph``, the new vertex onto the clasp and every other vertex fixed."""
+    assignment = {v: v for v in graph.vertices}
+    assignment[record.new_vertex] = record.clasp
+    return CompressionMap(record.apply(graph), graph, assignment)
 
 
 @st.composite

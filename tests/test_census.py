@@ -18,9 +18,7 @@ from splitclosure import (
     graph_from_mask,
     is_balanced,
     is_isomorphic,
-    is_reflexive,
     is_stable,
-    mask_from_graph,
     minimal_obstructions,
     oracle_preorder_expansion,
     parse_digraph,
@@ -49,7 +47,7 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_reflexive(n)) == count
 
     def test_every_emitted_graph_is_reflexive(self):
-        assert all(is_reflexive(g) for g in enumerate_reflexive(3))
+        assert all(g.is_reflexive() for g in enumerate_reflexive(3))
 
     def test_stream_is_re_iterable_and_deterministic(self):
         assert list(enumerate_reflexive(3)) == list(enumerate_reflexive(3))
@@ -83,6 +81,17 @@ class TestEnumeration:
     def test_bounds(self, n):
         with pytest.raises(BoundExceeded):
             enumerate_reflexive(n)
+
+
+def _decode_cells(n: int, mask: int) -> tuple[int, ...]:
+    """Reflexive bit rows read from a packed mask one cell at a time: the
+    off-diagonal cells (i, j) row-major, the first one most significant."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rows = [1 << i for i in range(n)]
+    for p, (i, j) in enumerate(reversed(cells)):
+        if (mask >> p) & 1:
+            rows[i] |= 1 << j
+    return tuple(rows)
 
 
 def _apply_chunks(chunks: tuple, mask: int) -> int:
@@ -123,7 +132,7 @@ class TestBitRowFastPaths:
         for mask in canonical_masks(n):
             graph = graph_from_mask(n, mask)
             rows = _mask_rows(n, mask)
-            assert rows == graph._rows and mask_from_graph(graph) == mask
+            assert rows == graph._rows == _decode_cells(n, mask)
             labels = graph.vertices
             quad = _balance_witness(rows)
             balanced = is_balanced(graph)
@@ -254,7 +263,7 @@ class TestObstructions:
         assert payload["predicate"] == "balanced"
         assert payload["n_max"] == 3
         for block in payload["classes"]:
-            assert is_reflexive(parse_digraph(block))
+            assert parse_digraph(block).is_reflexive()
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
@@ -304,7 +313,7 @@ class TestOracle:
         graph, cmap = found
         assert is_isomorphic(graph, split4) is not None
         assert verify_compression(cmap).valid
-        split_copies = [v for v in graph.vertices if cmap.apply(v) == "y"]
+        split_copies = [v for v in graph.vertices if cmap.assignment[v] == "y"]
         assert len(split_copies) == 2
 
     def test_locked_graph_has_none(self, locked5):

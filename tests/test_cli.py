@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -131,6 +132,23 @@ class TestExpand:
         assert trace["map"]["t1"] == "2" and trace["map"]["t2"] == "4"
         dot = out_dot.read_text()
         assert dot.startswith("digraph twoclasps {") and dot.count("->") == 7
+
+    def test_output_files_get_the_umask_or_keep_their_mode(self, capsys, files, tmp_path):
+        outputs = [tmp_path / name for name in ("out.dg", "trace.json", "out.dot")]
+        outputs[2].write_text("stale\n")
+        outputs[2].chmod(0o640)
+        argv = ["expand", files["ex"]]
+        for flag, path in zip(("-o", "--trace", "--dot"), outputs):
+            argv += [flag, str(path)]
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+        finally:
+            os.umask(previous)
+        assert code == 0
+        modes = [stat.S_IMODE(path.stat().st_mode) for path in outputs]
+        assert modes == [0o644, 0o644, 0o640]
+        assert outputs[2].read_text().startswith("digraph twoclasps {")
 
     def test_locked_graph(self, capsys, files):
         code, out, err = run_cli(capsys, "expand", files["lock"])
@@ -287,6 +305,21 @@ def test_verify_missing_map_file_exits_one(files, capsys, tmp_path):
     code = main(["verify", files["split"], files["path"], str(tmp_path / "no.txt")])
     captured = capsys.readouterr()
     assert code == 1 and "i/o error" in captured.err
+
+
+def test_undecodable_files_are_i_o_errors(files, capsys, tmp_path):
+    bad_graph = tmp_path / "bad.dg"
+    bad_graph.write_bytes(b"vertices: a\xff\narrows:\n")
+    bad_map = tmp_path / "bad.txt"
+    bad_map.write_bytes(b"t \xff\n")
+    for argv in (
+        ["check", str(bad_graph)],
+        ["verify", files["split"], files["path"], str(bad_map)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
 
 
 def _child_env() -> dict:

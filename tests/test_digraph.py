@@ -220,15 +220,15 @@ class TestDerivedGraphs:
 
     def test_induced_restriction(self, two_clasps):
         sub = two_clasps.induced({"2", "4", "6"})
-        assert sub.non_loop_arrows() == frozenset(
-            {("2", "4"), ("2", "6"), ("4", "6")}
-        )
+        assert sub.sorted_arrows(include_loops=False) == [
+            ("2", "4"), ("2", "6"), ("4", "6")
+        ]
 
     def test_induced_on_everything_is_identity(self, two_clasps):
         assert two_clasps.induced(two_clasps.vertices) == two_clasps
 
     def test_induced_can_be_arrowless(self, path3):
-        assert path3.induced({"x", "z"}).non_loop_arrows() == frozenset()
+        assert path3.induced({"x", "z"}).arrow_count(include_loops=False) == 0
 
     def test_induced_unknown_vertex(self, path3):
         with pytest.raises(UnknownVertex):

@@ -2,20 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import assert_valid_trace_json, reflexive
+from conftest import assert_valid_trace_json, reflexive, step_map
 from splitclosure import (
     ConstructionChoice,
     InternalInvariantBreached,
     LockedClasp,
-    NotAClasp,
     NotReflexive,
     NotStable,
     PreconditionViolated,
-    clasp_context,
     clasps,
     construction_a,
     construction_b,
-    expand_once,
     expand_to_preorder,
     is_isomorphic,
     is_preordered,
@@ -23,43 +20,44 @@ from splitclosure import (
     select_construction,
     verify_compression,
 )
+from splitclosure.expansion import _clasp_context
 
 
 @pytest.fixture
 def chain_middle(two_clasps):
     """The graph after splitting clasp 2 of the running example."""
-    graph, _, _ = expand_once(two_clasps, "2")
-    return graph
+    return expand_to_preorder(two_clasps).trace[0].apply(two_clasps)
 
 
 class TestClaspContext:
     def test_first_iteration(self, two_clasps):
-        ctx = clasp_context(two_clasps, "2")
+        ctx = _clasp_context(two_clasps, "2")
         assert ctx.witness_heads == ("4", "6")
         assert ctx.triple_tails == ()
 
     def test_second_iteration(self, chain_middle):
-        ctx = clasp_context(chain_middle, "4")
+        ctx = _clasp_context(chain_middle, "4")
         assert ctx.witness_heads == ("6", "7")
         assert ctx.triple_tails == ("3", "t1")
 
     def test_path(self, path3):
-        ctx = clasp_context(path3, "y")
+        ctx = _clasp_context(path3, "y")
         assert ctx.witness_heads == ("z",)
         assert ctx.triple_tails == ()
 
     def test_not_a_clasp(self, two_clasps):
-        with pytest.raises(NotAClasp):
-            clasp_context(two_clasps, "3")
+        # the loop passes only clasps, so a non-clasp is a bug
+        with pytest.raises(InternalInvariantBreached, match="not a clasp"):
+            _clasp_context(two_clasps, "3")
 
 
 class TestSelect:
     def test_rule_a_when_no_triple_tails(self, two_clasps):
-        ctx = clasp_context(two_clasps, "2")
+        ctx = _clasp_context(two_clasps, "2")
         assert select_construction(two_clasps, "2", ctx).kind == "A"
 
     def test_rule_b_witnesses(self, chain_middle):
-        ctx = clasp_context(chain_middle, "4")
+        ctx = _clasp_context(chain_middle, "4")
         choice = select_construction(chain_middle, "4", ctx)
         assert choice.kind == "B"
         assert choice.detour_tail == "3"
@@ -67,40 +65,40 @@ class TestSelect:
         assert choice.pivot_head == "6"
 
     def test_path_forces_rule_a(self, path3):
-        ctx = clasp_context(path3, "y")
+        ctx = _clasp_context(path3, "y")
         assert select_construction(path3, "y", ctx).kind == "A"
 
 
 class TestConstructionA:
     def test_running_example(self, two_clasps):
-        ctx = clasp_context(two_clasps, "2")
+        ctx = _clasp_context(two_clasps, "2")
         choice = select_construction(two_clasps, "2", ctx)
         record = construction_a(two_clasps, "2", ctx, choice, "t1")
         graph = record.apply(two_clasps)
-        assert record.moved_heads == ("4", "6")
+        assert record.heads == ("4", "6")
         assert set(record.removed) == {("2", "4"), ("2", "6")}
         assert set(record.added) == {("t1", "4"), ("t1", "6")}
         assert graph.has_arrow("1", "2"), "in-arrows outside the tails stay"
         assert graph.has_arrow("t1", "t1")
 
     def test_path_produces_the_known_split(self, path3, split4):
-        ctx = clasp_context(path3, "y")
+        ctx = _clasp_context(path3, "y")
         choice = select_construction(path3, "y", ctx)
         record = construction_a(path3, "y", ctx, choice, "t1")
         graph = record.apply(path3)
-        assert record.moved_heads == ("z",)
+        assert record.heads == ("z",)
         assert is_isomorphic(graph, split4) is not None
 
     def test_counts_balance_and_heads_are_covered(self, two_clasps, path3):
         for g, x in [(two_clasps, "2"), (path3, "y")]:
-            ctx = clasp_context(g, x)
+            ctx = _clasp_context(g, x)
             record = construction_a(g, x, ctx, select_construction(g, x, ctx), "t1")
             assert set(record.tails) <= set(g.in_neighbors(x)) - {x}
             assert set(record.heads) <= set(g.out_neighbors(x)) - {x}
-            assert set(ctx.witness_heads) <= set(record.moved_heads)
+            assert set(ctx.witness_heads) <= set(record.heads)
 
     def test_refused_when_rule_b_applies(self, chain_middle):
-        ctx = clasp_context(chain_middle, "4")
+        ctx = _clasp_context(chain_middle, "4")
         choice = select_construction(chain_middle, "4", ctx)
         with pytest.raises(PreconditionViolated):
             construction_a(chain_middle, "4", ctx, choice, "t2")
@@ -117,13 +115,13 @@ class TestConstructionAWithTails:
         )
 
     def test_context_and_choice(self, tailed):
-        ctx = clasp_context(tailed, "d")
+        ctx = _clasp_context(tailed, "d")
         assert ctx.witness_heads == ("a",)
         assert ctx.triple_tails == ("c",)
         assert select_construction(tailed, "d", ctx).kind == "A"
 
     def test_in_arrows_move_with_the_tails(self, tailed):
-        ctx = clasp_context(tailed, "d")
+        ctx = _clasp_context(tailed, "d")
         choice = select_construction(tailed, "d", ctx)
         record = construction_a(tailed, "d", ctx, choice, "t1")
         graph = record.apply(tailed)
@@ -141,7 +139,7 @@ class TestConstructionAWithTails:
 def rule_b(graph, vertex, pivot_head, new_vertex, index=1):
     """construction_b at ``pivot_head``, with the tails that pivot sorts
     into kept (chord present) and detoured (chord missing) as witnesses."""
-    ctx = clasp_context(graph, vertex)
+    ctx = _clasp_context(graph, vertex)
     kept = [a for a in ctx.triple_tails if graph.has_arrow(a, pivot_head)]
     detour = [a for a in ctx.triple_tails if not graph.has_arrow(a, pivot_head)]
     choice = ConstructionChoice(
@@ -182,53 +180,60 @@ class TestConstructionB:
             rule_b(two_clasps, "2", "4", "t1")
 
     def test_witnesses_must_fit_the_pivot(self, chain_middle):
-        ctx = clasp_context(chain_middle, "4")
+        ctx = _clasp_context(chain_middle, "4")
         swapped = ConstructionChoice("B", detour_tail="t1", kept_tail="3", pivot_head="6")
         with pytest.raises(PreconditionViolated):
             construction_b(chain_middle, "4", ctx, swapped, "t2")
 
 
 class TestExpandOnce:
+    """Single iterations, replayed from the trace of ``expand_to_preorder``
+    with their step maps."""
+
     def test_first_step_of_running_example(self, two_clasps):
-        graph, cmap, record = expand_once(two_clasps, "2")
-        assert cmap.apply("t1") == "2"
+        record = expand_to_preorder(two_clasps).trace[0]
+        cmap = step_map(record, two_clasps)
+        graph = cmap.source
+        assert cmap.assignment["t1"] == "2"
         assert verify_compression(cmap).valid
         assert is_stable(graph)[0]
         assert all(not r.locked for r in clasps(graph))
         assert record.choice.kind == "A"
 
-    def test_second_step_reaches_preorder(self, chain_middle):
-        graph, cmap, _ = expand_once(chain_middle, "4", index=2)
-        assert is_preordered(graph)
-        assert cmap.apply("t2") == "4"
+    def test_second_step_reaches_preorder(self, two_clasps, chain_middle):
+        cmap = step_map(expand_to_preorder(two_clasps).trace[1], chain_middle)
+        assert is_preordered(cmap.source)
+        assert cmap.assignment["t2"] == "4"
 
     def test_path(self, path3, split4):
-        graph, cmap, _ = expand_once(path3, "y")
-        assert is_isomorphic(graph, split4) is not None
-        assert cmap.apply("t1") == "y"
+        cmap = step_map(expand_to_preorder(path3).trace[0], path3)
+        assert is_isomorphic(cmap.source, split4) is not None
+        assert cmap.assignment["t1"] == "y"
 
-    def test_unstable_rejected(self, unstable4):
-        with pytest.raises(NotStable):
-            expand_once(unstable4, "b")
+    def test_locked_clasp_elsewhere_rejected(self, locked5, monkeypatch):
+        # the least clasp q is unlocked and x, in the other component, is
+        # locked: the entry check refuses before any rule function runs
+        import splitclosure.expansion as expansion
 
-    def test_locked_rejected(self, locked5):
-        with pytest.raises(LockedClasp) as info:
-            expand_once(locked5, "x")
-        assert info.value.vertex == "x"
-
-    def test_non_clasp_rejected(self, two_clasps):
-        with pytest.raises(NotAClasp):
-            expand_once(two_clasps, "3")
-
-    def test_locked_clasp_elsewhere_rejected(self, locked5):
-        # q is an unlocked clasp, but x in the other component is locked
         g = reflexive(
-            locked5.vertices + ("p", "q", "r"),
+            ("p", "q", "r") + locked5.vertices,
             set(locked5.arrows) | {("p", "q"), ("q", "r")},
         )
+        records = [(r.vertex, r.locked) for r in clasps(g)]
+        assert records[0] == ("q", False) and ("x", True) in records
+        calls = []
+        for attr in ("construction_a", "construction_b", "select_construction"):
+            genuine = getattr(expansion, attr)
+
+            def counted(*args, _attr=attr, _genuine=genuine, **kwargs):
+                calls.append(_attr)
+                return _genuine(*args, **kwargs)
+
+            monkeypatch.setattr(expansion, attr, counted)
         with pytest.raises(LockedClasp) as info:
-            expand_once(g, "q")
+            expand_to_preorder(g)
         assert info.value.vertex == "x"
+        assert calls == []
 
 
 class TestExpandToPreorder:
@@ -236,7 +241,7 @@ class TestExpandToPreorder:
         outcome = expand_to_preorder(path3)
         assert outcome.iterations == 1
         assert is_isomorphic(outcome.result, split4) is not None
-        assert outcome.mapping.apply("t1") == "y"
+        assert outcome.mapping.assignment["t1"] == "y"
         assert verify_compression(outcome.mapping).valid
 
     def test_running_example_full_trace(self, two_clasps):
@@ -247,7 +252,7 @@ class TestExpandToPreorder:
         assert first.clasp == "2" and first.choice.kind == "A"
         assert first.context.witness_heads == ("4", "6")
         assert first.context.triple_tails == ()
-        assert first.moved_heads == ("4", "6")
+        assert first.heads == ("4", "6")
         assert set(first.removed) == {("2", "4"), ("2", "6")}
         assert set(first.added) == {("t1", "4"), ("t1", "6")}
         assert first.new_vertex == "t1"
@@ -263,8 +268,8 @@ class TestExpandToPreorder:
         assert set(second.added) == {("3", "t2"), ("t2", "7")}
 
         assert is_preordered(outcome.result)
-        assert outcome.mapping.apply("t1") == "2"
-        assert outcome.mapping.apply("t2") == "4"
+        assert outcome.mapping.assignment["t1"] == "2"
+        assert outcome.mapping.assignment["t2"] == "4"
 
     def test_already_preordered(self, split4):
         outcome = expand_to_preorder(split4)
@@ -289,19 +294,18 @@ class TestExpandToPreorder:
 
     def test_arrow_conservation(self, two_clasps):
         outcome = expand_to_preorder(two_clasps)
-        assert len(outcome.result.non_loop_arrows()) == len(
-            two_clasps.non_loop_arrows()
-        )
+        arrows = two_clasps.arrow_count(include_loops=False)
+        assert outcome.result.arrow_count(include_loops=False) == arrows
         assert len(outcome.result.vertices) == len(two_clasps.vertices) + 2
 
     def test_original_vertices_map_to_themselves(self, two_clasps):
         outcome = expand_to_preorder(two_clasps)
         for v in two_clasps.vertices:
-            assert outcome.mapping.apply(v) == v
+            assert outcome.mapping.assignment[v] == v
         assert set(outcome.mapping.assignment.values()) <= set(two_clasps.vertices)
 
     def test_iteration_cap(self, two_clasps):
-        cap = len(two_clasps.vertices) + 2 * len(two_clasps.non_loop_arrows())
+        cap = len(two_clasps.vertices) + 2 * two_clasps.arrow_count(include_loops=False)
         assert expand_to_preorder(two_clasps).iterations <= cap
 
     def test_deterministic_trace(self, two_clasps):
@@ -346,7 +350,7 @@ def test_trace_invariants_across_the_small_census():
                 assert record.context.witness_heads
                 if record.choice.kind == "A":
                     assert set(record.context.witness_heads) <= set(
-                        record.moved_heads
+                        record.heads
                     )
                 else:
                     assert record.moved_pairs

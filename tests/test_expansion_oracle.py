@@ -16,10 +16,9 @@ import random
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import step_map
 from splitclosure import (
-    CompressionMap,
     DiGraph,
-    clasp_context,
     clasps,
     construction_a,
     construction_b,
@@ -31,6 +30,7 @@ from splitclosure import (
     select_construction,
     verify_compression,
 )
+from splitclosure.expansion import _clasp_context
 
 
 def stable_and_unlocked(graph: DiGraph) -> bool:
@@ -43,15 +43,14 @@ def assert_replay_passes_full_checks(graph: DiGraph) -> None:
     for index, record in enumerate(outcome.trace, start=1):
         records = clasps(current)
         assert records and records[0].vertex == record.clasp
-        ctx = clasp_context(current, record.clasp)
+        ctx = _clasp_context(current, record.clasp)
         choice = select_construction(current, record.clasp, ctx)
         rule = construction_a if choice.kind == "A" else construction_b
         assert rule(current, record.clasp, ctx, choice, record.new_vertex, index) == record
 
-        expanded = record.apply(current)
-        assignment = {v: v for v in current.vertices}
-        assignment[record.new_vertex] = record.clasp
-        verdict = verify_compression(CompressionMap(expanded, current, assignment))
+        cmap = step_map(record, current)
+        expanded = cmap.source
+        verdict = verify_compression(cmap)
         assert verdict.valid, verdict.describe()
         assert is_stable(expanded) == (True, None)
         for clasp in clasps(expanded):

@@ -9,11 +9,9 @@ from conftest import digraphs
 from splitclosure import (
     NotReflexive,
     UnknownVertex,
-    clasp_vertices,
     clasps,
     is_balanced,
     is_preordered,
-    is_reflexive,
     is_stable,
     is_transitive,
     locked_status,
@@ -70,7 +68,7 @@ class TestReportFlags:
 
     @given(digraphs())
     def test_preordered_is_the_conjunction(self, g):
-        assert is_preordered(g) == (is_reflexive(g) and is_transitive(g))
+        assert is_preordered(g) == (g.is_reflexive() and is_transitive(g))
 
     def test_report_serializes(self, two_clasps):
         payload = property_report(two_clasps).to_json()
@@ -210,7 +208,7 @@ class TestClasps:
         assert clasps(split4) == ()
 
     def test_path_clasp(self, path3):
-        assert clasp_vertices(path3) == ("y",)
+        assert tuple(r.vertex for r in clasps(path3)) == ("y",)
 
     def test_witnesses_recheck(self, two_clasps):
         for record in clasps(two_clasps):
@@ -298,7 +296,7 @@ class TestSoloists:
         assert {"x", "y"} <= set(soloists(path3))
 
     def test_clasps_are_soloists_here(self, two_clasps):
-        assert set(clasp_vertices(two_clasps)) <= set(soloists(two_clasps))
+        assert {r.vertex for r in clasps(two_clasps)} <= set(soloists(two_clasps))
 
     def test_requires_reflexive(self):
         from splitclosure import DiGraph
