@@ -25,7 +25,9 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .compression import CompressionMap, split_vertex, verify_compression
-from .digraph import DiGraph, _canonical_packed, _packed_matrix, bits, emit_digraph, is_star_acyclic
+from .digraph import (
+    DiGraph, _canonical_packed, _heads_of, _packed_matrix, bits, emit_digraph, is_star_acyclic
+)
 from .errors import BoundExceeded, InvalidSplit
 from .expansion import ExpansionOutcome, expand_to_preorder
 from .predicates import (
@@ -122,9 +124,10 @@ def canonical_masks(n: int) -> tuple[int, ...]:
 
 def _witness_kind(rows: tuple[int, ...]) -> Optional[str]:
     """The kind of the first stable witness of reflexive bit rows, or None."""
-    if _balance_witness(rows):
+    heads = _heads_of(rows)
+    if _balance_witness(rows, heads):
         return "balance"
-    return "stability" if _stability_witness(rows) else None
+    return "stability" if _stability_witness(rows, heads) else None
 
 
 @functools.lru_cache(maxsize=None)

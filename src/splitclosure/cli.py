@@ -56,8 +56,10 @@ def _read_graph(path: str) -> DiGraph:
 def _write_atomic(path: str, text: str) -> None:
     """Replace ``path`` by ``text`` in one rename.  The file keeps the mode
     of the file it replaces; a new one gets ``0o666`` less the umask, as
-    ``open`` would give it (``mkstemp`` itself always creates 0600)."""
-    directory = os.path.dirname(os.path.abspath(path))
+    ``open`` would give it (``mkstemp`` itself always creates 0600).  A
+    symlink is resolved first, so the rename replaces its target."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".splitclosure-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

@@ -103,11 +103,13 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
         if not fiber:
             return CompressionVerdict(False, "not-surjective", (t_labels[t],))
 
-    # cond1: every head of u's arrows lies in the preimage of f(u)'s row
+    # cond1: every head of u's arrows lies in the preimage of f(u)'s row.
+    # Both graphs are reflexive, so each row is its loop plus its _heads
+    s_heads, t_heads = src._heads, tgt._heads
     preimage = []
-    for row in t_rows:
-        mask = 0
-        for t in bits(row):
+    for a, heads in enumerate(t_heads):
+        mask = fibers[a]
+        for t in heads:
             mask |= fibers[t]
         preimage.append(mask)
     for u, row in enumerate(s_rows):
@@ -124,9 +126,9 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
     # lifts iff that set meets a3's fiber.  Per (a1, a2) the failing a3 of
     # every kind form one mask, whose lowest bit is the first failure.
     reach = [0] * len(t_labels)
-    for u, row in enumerate(s_rows):
-        images = 0
-        for v in bits(row):
+    for u, heads in enumerate(s_heads):
+        images = 1 << f[u]
+        for v in heads:
             images |= 1 << f[v]
         reach[f[u]] |= images
     for a1, r1 in enumerate(t_rows):
@@ -154,9 +156,9 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
     # cond3: non-loop arrows map one-to-one onto non-loop target arrows
     m = len(t_labels)
     seen: dict[int, tuple[int, int]] = {}
-    for u, row in enumerate(s_rows):
+    for u, heads in enumerate(s_heads):
         fu = f[u]
-        for v in bits(row & ~(1 << u)):
+        for v in heads:
             fv = f[v]
             if fu == fv:
                 return CompressionVerdict(

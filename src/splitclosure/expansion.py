@@ -357,8 +357,9 @@ def _check_step_map(state: _SplitState, x: int, t: int, old_row: int, old_col: i
         raise InternalInvariantBreached(f"step map at {label}: triple ({names}) has no lift")
 
     # each innermost slot is one mask of the old vertices that fail to lift,
-    # in the order (x, b, c), then per a: (a, x, c) and (a, b, x)
-    for b in bits(old_row):
+    # in the order (x, b, c), then per a: (a, x, c) and (a, b, x); b = x is
+    # skipped, since closing(x, x) is image(rows[x] | rows[t]), checked above
+    for b in bits(old_row & ~xbit):
         if bad := old_row & old_out(b) & ~closing(x, b):
             no_lift(x, b, _low(bad))
     for a in bits(old_col):
@@ -433,12 +434,12 @@ class _SplitState:
         return record
 
     def graph(self) -> DiGraph:
-        """The current graph; the input graph itself when nothing was split."""
+        """The current graph; the input graph itself when nothing was split.
+        The graph shares the label index, so no split may follow."""
         if len(self.vertices) == len(self.source.vertices):
             return self.source
-        return DiGraph._from_rows(
-            tuple(self.vertices), tuple(self._rows), self.source.name, tuple(self._cols)
-        )
+        vertices, rows, cols = tuple(self.vertices), tuple(self._rows), tuple(self._cols)
+        return DiGraph._from_rows(vertices, rows, self.source.name, cols, self._index)
 
     def mapping(self, result: DiGraph) -> CompressionMap:
         """The composite map from ``result`` onto the input graph."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import DiGraph, _low, bits
+from .digraph import DiGraph, _Heads, _low, bits
 from .errors import NotReflexive
 
 
@@ -68,15 +68,16 @@ def trans_triples(graph: DiGraph) -> frozenset[tuple[str, str, str]]:
     return frozenset(out)
 
 
-def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
+def _balance_witness(rows: tuple[int, ...], heads: _Heads) -> Optional[tuple[int, int, int, int]]:
     """First index quadruple (w, x, y, z) of reflexive bit rows with wx,
-    xy, yz, wz arrows whose chords wy and xz disagree, or None."""
+    xy, yz, wz arrows whose chords wy and xz disagree, or None.  ``heads``
+    is ``_heads_of(rows)``."""
     # x = w or y = x cannot fail: both chords are then arrows of the
     # quadruple itself (xy and wz, or wx and yz)
     for w, rw in enumerate(rows):
-        for x in bits(rw & ~(1 << w)):
+        for x in heads[w]:
             rx = rows[x]
-            for y in bits(rx & ~(1 << x)):
+            for y in heads[x]:
                 # z ranges over the heads of both yz and wz; the chord xz
                 # must be present exactly when wy is
                 zmask = rows[y] & rw
@@ -86,12 +87,13 @@ def _balance_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int
     return None
 
 
-def _stability_witness(rows: tuple[int, ...]) -> Optional[tuple[int, int, int, int]]:
+def _stability_witness(rows: tuple[int, ...], heads: _Heads) -> Optional[tuple[int, int, int, int]]:
     """First distinct index quadruple (a, b, c, d) of reflexive bit rows
-    with ab, ac, bc, bd, cd arrows and ad missing, or None."""
+    with ab, ac, bc, bd, cd arrows and ad missing, or None.  ``heads`` is
+    ``_heads_of(rows)``."""
     for a, ra in enumerate(rows):
         abit = 1 << a
-        for b in bits(ra & ~abit):
+        for b in heads[a]:
             rb = rows[b]
             cmask = ra & rb & ~abit & ~(1 << b)
             for c in bits(cmask):
@@ -108,7 +110,7 @@ def is_balanced(graph: DiGraph) -> tuple[bool, Optional[tuple[str, str, str, str
     repeats allowed; loops count as arrows.
     """
     _require_reflexive(graph)
-    quad = _balance_witness(graph._rows)
+    quad = _balance_witness(graph._rows, graph._heads)
     if quad is None:
         return True, None
     return False, tuple(graph.vertices[i] for i in quad)
@@ -124,7 +126,7 @@ def is_stable(graph: DiGraph) -> tuple[bool, Optional[StableWitness]]:
     ok, quad = is_balanced(graph)
     if not ok:
         return False, StableWitness("balance", quad)
-    found = _stability_witness(graph._rows)
+    found = _stability_witness(graph._rows, graph._heads)
     if found is None:
         return True, None
     return False, StableWitness("stability", tuple(graph.vertices[i] for i in found))
@@ -145,46 +147,50 @@ def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:
         return StableWitness(kind, tuple(graph.vertices[q] for q in quad))
 
     # balance: wx, xy, yz, wz arrows force the chords wy and xz to agree;
-    # the innermost slot is one mask of the choices where they disagree
-    for x in bits(rp):  # w = p
+    # the innermost slot is one mask of the choices where they disagree.
+    # The outer slots skip w = x, x = y and y = z: both chords are then
+    # arrows of the quadruple itself (xy and wz, wx and yz, or wz and xy),
+    # so those choices give an empty mask and the first witness is the same
+    pbit = 1 << p
+    outs, ins = rp & ~pbit, cp & ~pbit
+    for x in bits(outs):  # w = p
         rx = rows[x]
-        for y in bits(rx):
+        for y in bits(rx & ~(1 << x)):
             if bad := rows[y] & rp & (~rx if (rp >> y) & 1 else rx):
                 return found("balance", p, x, y, _low(bad))
-    for w in bits(cp):  # x = p
+    for w in bits(ins):  # x = p
         rw = rows[w]
-        for y in bits(rp):
+        for y in bits(outs):
             if bad := rows[y] & rw & (~rp if (rw >> y) & 1 else rp):
                 return found("balance", w, p, y, _low(bad))
-    for x in bits(cp):  # y = p
+    for x in bits(ins):  # y = p
         rx, cx = rows[x], cols[x]
-        for z in bits(rp):
+        for z in bits(outs):
             if bad := cx & cols[z] & (~cp if (rx >> z) & 1 else cp):
                 return found("balance", _low(bad), x, p, z)
-    for y in bits(cp):  # z = p
+    for y in bits(ins):  # z = p
         cy = cols[y]
-        for x in bits(cy):
+        for x in bits(cy & ~(1 << y)):
             if bad := cols[x] & cp & (~cy if (cp >> x) & 1 else cy):
                 return found("balance", _low(bad), x, y, p)
 
     # stability: distinct a, b, c, d with ab, ac, bc, bd, cd force ad; a
     # mask of "a's row missing" already excludes a and every vertex a
     # points at, which is how distinctness is kept below
-    pbit = 1 << p
-    for b in bits(rp & ~pbit):  # a = p
-        for c in bits(rp & rows[b] & ~pbit & ~(1 << b)):
+    for b in bits(outs):  # a = p
+        for c in bits(outs & rows[b] & ~(1 << b)):
             if dmask := rows[b] & rows[c] & ~rp:
                 return found("stability", p, b, c, _low(dmask))
-    for a in bits(cp & ~pbit):  # b = p
-        for c in bits(rows[a] & rp & ~(1 << a) & ~pbit):
+    for a in bits(ins):  # b = p
+        for c in bits(rows[a] & outs & ~(1 << a)):
             if dmask := rp & rows[c] & ~rows[a]:
                 return found("stability", a, p, c, _low(dmask))
-    for a in bits(cp & ~pbit):  # c = p
-        for b in bits(rows[a] & cp & ~(1 << a) & ~pbit):
+    for a in bits(ins):  # c = p
+        for b in bits(rows[a] & ins & ~(1 << a)):
             if dmask := rows[b] & rp & ~rows[a]:
                 return found("stability", a, b, p, _low(dmask))
-    for b in bits(cp & ~pbit):  # d = p
-        for c in bits(cp & rows[b] & ~(1 << b) & ~pbit):
+    for b in bits(ins):  # d = p
+        for c in bits(ins & rows[b] & ~(1 << b)):
             if amask := cols[b] & cols[c] & ~cp:
                 return found("stability", _low(amask), b, c, p)
     return None

@@ -34,6 +34,7 @@ from splitclosure.census import (
 )
 from splitclosure.cli import EXIT_PROPERTY
 from splitclosure.cli import main as cli_main
+from splitclosure.digraph import _heads_of
 from splitclosure.predicates import _balance_witness, _stability_witness
 
 # Up-to-isomorphism counts of reflexive digraphs, frozen from direct
@@ -134,14 +135,14 @@ class TestBitRowFastPaths:
             rows = _mask_rows(n, mask)
             assert rows == graph._rows == _decode_cells(n, mask)
             labels = graph.vertices
-            quad = _balance_witness(rows)
+            quad = _balance_witness(rows, _heads_of(rows))
             balanced = is_balanced(graph)
             assert balanced == (quad is None, quad and tuple(labels[i] for i in quad))
             stable, witness = is_stable(graph)
             if quad is not None:
                 kind, found = "balance", quad
             else:
-                found = _stability_witness(rows)
+                found = _stability_witness(rows, _heads_of(rows))
                 kind = None if found is None else "stability"
             assert mask in groups[kind]
             if found is None:

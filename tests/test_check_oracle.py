@@ -41,6 +41,7 @@ from splitclosure import (
     verify_compression,
 )
 from splitclosure.census import _classes_by_witness, canonical_masks
+from splitclosure.digraph import _heads_of
 from splitclosure.predicates import _balance_witness
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -264,13 +265,13 @@ class TestBalanceScan:
     @given(reflexive_rows())
     @settings(max_examples=150, deadline=None)
     def test_witness_matches_naive_scan(self, rows):
-        assert _balance_witness(rows) == naive_balance_witness(rows)
+        assert _balance_witness(rows, _heads_of(rows)) == naive_balance_witness(rows)
 
     def test_witness_matches_naive_scan_on_every_class_up_to_four(self):
         for n in range(1, 5):
             for mask in canonical_masks(n):
                 rows = graph_from_mask(n, mask)._rows
-                assert _balance_witness(rows) == naive_balance_witness(rows)
+                assert _balance_witness(rows, _heads_of(rows)) == naive_balance_witness(rows)
 
 
 def unbalanced_examples():
@@ -343,9 +344,9 @@ class TestPropertyReport:
         calls = []
         original = predicates._balance_witness
 
-        def counting(rows):
-            calls.append(rows)
-            return original(rows)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
         monkeypatch.setattr(predicates, "_balance_witness", counting)
         for g in unbalanced_examples():

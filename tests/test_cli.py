@@ -150,6 +150,35 @@ class TestExpand:
         assert modes == [0o644, 0o644, 0o640]
         assert outputs[2].read_text().startswith("digraph twoclasps {")
 
+    def test_output_links_are_written_through(self, capsys, files, tmp_path):
+        # -o and --dot point at existing 0640 files in another directory,
+        # --trace at a file that does not exist yet
+        real = tmp_path / "real"
+        real.mkdir()
+        targets = [real / name for name in ("out.dg", "trace.json", "out.dot")]
+        links = [tmp_path / f"link-{target.name}" for target in targets]
+        for target, link in zip(targets, links):
+            if target.suffix != ".json":
+                target.write_text("old\n")
+                target.chmod(0o640)
+            link.symlink_to(target)
+        plain = tmp_path / "plain.dg"
+        argv = ["expand", files["ex"], "-o", str(links[0]), "--trace", str(links[1])]
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, *argv, "--dot", str(links[2]))
+            assert code == 0
+            assert run_cli(capsys, "expand", files["ex"], "-o", str(plain))[0] == 0
+        finally:
+            os.umask(previous)
+        assert all(link.is_symlink() for link in links)
+        modes = [stat.S_IMODE(target.stat().st_mode) for target in targets]
+        assert modes == [0o640, 0o644, 0o640]
+        assert targets[0].read_text() == plain.read_text()
+        assert json.loads(targets[1].read_text())["result"] == plain.read_text()
+        assert targets[2].read_text().startswith("digraph twoclasps {")
+        assert [p.name for p in real.iterdir() if p.name.startswith(".")] == []
+
     def test_locked_graph(self, capsys, files):
         code, out, err = run_cli(capsys, "expand", files["lock"])
         assert code == 2 and out == ""

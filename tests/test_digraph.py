@@ -27,7 +27,7 @@ from splitclosure import (
     property_report,
     verify_compression,
 )
-from splitclosure.digraph import bits
+from splitclosure.digraph import _heads_of, bits
 
 # comment marker, directive colon, DOT metacharacters, and whitespace
 # that only Unicode calls whitespace
@@ -491,6 +491,13 @@ class TestConstruction:
         assert arrows[0] == ("1", "2") and arrows[-1] == ("4", "7")
 
 
+def assert_heads_match_bits(g: DiGraph) -> None:
+    expected = [[j for j in bits(row) if j != i] for i, row in enumerate(g._rows)]
+    assert [list(heads) for heads in _heads_of(g._rows)] == expected
+    assert [list(heads) for heads in g._heads] == expected
+    assert g._heads is g._heads
+
+
 class TestRowsConstruction:
     @given(digraphs(max_n=6))
     def test_rows_and_pairs_build_the_same_graph(self, g):
@@ -514,6 +521,14 @@ class TestRowsConstruction:
         assert g.arrows == {("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "z")}
         assert g.arrows is g.arrows
         assert g.arrow_count() == 5 and g.arrow_count(include_loops=False) == 2
+
+    @given(digraphs(max_n=9))
+    def test_heads_are_the_non_loop_bits_in_order(self, g):
+        assert_heads_match_bits(g)
+
+    def test_heads_of_the_golden_result(self):
+        text = (Path(__file__).parent / "golden" / "layered-0.result.dg").read_text(encoding="utf-8")
+        assert_heads_match_bits(parse_digraph(text))
 
     def test_label_errors_keep_their_order(self):
         for vertices, error in [
