@@ -9,6 +9,7 @@ Machine-consumable content goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -34,7 +35,7 @@ from .errors import (
     NotStable,
     ParseError,
 )
-from .expansion import expand_to_preorder
+from .expansion import _trace_text, expand_to_preorder
 from .predicates import property_report
 
 EXIT_OK = 0
@@ -57,7 +58,11 @@ def _write_atomic(path: str, text: str) -> None:
     """Replace ``path`` by ``text`` in one rename.  The file keeps the mode
     of the file it replaces; a new one gets ``0o666`` less the umask, as
     ``open`` would give it (``mkstemp`` itself always creates 0600).  A
-    symlink is resolved first, so the rename replaces its target."""
+    symlink is resolved first, so the rename replaces its target.  An
+    empty path is an error, as it is to ``open``, not the working
+    directory that ``realpath`` makes of it."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     path = os.path.realpath(path)
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".splitclosure-")
@@ -187,16 +192,15 @@ def _cmd_check(args) -> int:
 def _cmd_expand(args) -> int:
     graph = _read_graph(args.file)
     outcome = expand_to_preorder(graph)
-    trace = outcome.to_json() if args.trace else None
-    result_text = trace["result"] if trace else emit_digraph(outcome.result, "dg")
-    if args.output:
+    result_text = emit_digraph(outcome.result, "dg")
+    if args.output is not None:
         _write_atomic(args.output, result_text)
-    else:
-        sys.stdout.write(result_text)
-    if trace:
-        _write_atomic(args.trace, _dumps(trace) + "\n")
-    if args.dot:
+    if args.trace is not None:
+        _write_atomic(args.trace, _trace_text(outcome, result_text))
+    if args.dot is not None:
         _write_atomic(args.dot, emit_digraph(outcome.result, "dot"))
+    if args.output is None:  # last, so that a failed write leaves stdout empty
+        sys.stdout.write(result_text)
     return EXIT_OK
 
 

@@ -37,6 +37,7 @@ non-loop arrow count must equal the input's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .compression import CompressionMap, _split_rows, verify_compression
@@ -154,6 +155,60 @@ class ExpansionOutcome:
             "result": emit_digraph(self.result, "dg"),
             "map": self.mapping.to_json(),
         }
+
+
+_ITEM = "\n        "  # the indent of a list item inside a trace record
+
+
+def _json_list(codes: list[str]) -> str:
+    """JSON texts as a list inside a trace record, laid out as
+    ``json.dumps(..., indent=2)`` lays it out."""
+    return "[" + _ITEM + ("," + _ITEM).join(codes) + "\n      ]" if codes else "[]"
+
+
+def _json_pairs(pairs) -> str:
+    return _json_list([f"[{_ITEM}  {a},{_ITEM}  {b}{_ITEM}]" for a, b in pairs])
+
+
+def _trace_text(outcome: ExpansionOutcome, result_text: str) -> str:
+    """``json.dumps(outcome.to_json(), indent=2) + "\\n"``, byte for byte,
+    written straight from the records; ``result_text`` is the result's dg
+    text.  Strings are encoded in C, as ``json`` encodes them."""
+    enc = encode_basestring_ascii
+    records = []
+    for r in outcome.trace:
+        choice = r.choice
+        clasp, new_vertex = enc(r.clasp), enc(r.new_vertex)
+        tails, heads = list(map(enc, r.tails)), list(map(enc, r.heads))
+        fields = [
+            f'"index": {r.index:d}',
+            '"clasp": ' + clasp,
+            '"construction": ' + enc(choice.kind),
+            '"Y": ' + _json_list(list(map(enc, r.context.witness_heads))),
+            '"A": ' + _json_list(list(map(enc, r.context.triple_tails))),
+        ]
+        if choice.kind == "A":
+            fields.append('"B": ' + _json_list(heads))
+        else:
+            fields.append('"T": ' + _json_pairs([(enc(c), enc(z)) for c, z in r.moved_pairs or ()]))
+            witness = (choice.detour_tail, choice.kept_tail, choice.pivot_head)
+            entries = ("," + _ITEM).join(f'"{k}": {enc(v)}' for k, v in zip("aby", witness))
+            fields.append('"witness": {' + _ITEM + entries + "\n      }")
+        for key, v in (("removed", clasp), ("added", new_vertex)):
+            arrows = [(a, v) for a in tails] + [(v, b) for b in heads]
+            fields.append(f'"{key}": ' + _json_pairs(arrows))
+        fields.append('"new_vertex": ' + new_vertex)
+        records.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+    iterations = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    assignment = outcome.mapping.assignment
+    pairs = [enc(v) + ": " + enc(assignment[v]) for v in outcome.mapping.source.vertices]
+    mapping = "{\n    " + ",\n    ".join(pairs) + "\n  }" if pairs else "{}"
+    return (
+        '{\n  "input": ' + enc(emit_digraph(outcome.mapping.target, "dg"))
+        + ',\n  "iterations": ' + iterations
+        + ',\n  "result": ' + enc(result_text)
+        + ',\n  "map": ' + mapping + "\n}\n"
+    )
 
 
 def _clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
@@ -320,60 +375,57 @@ def _check_step_map(state: _SplitState, x: int, t: int, old_row: int, old_col: i
     t and triples through x need a look.
     """
     rows, cols = state._rows, state._cols
+    rx, rt, cx, ct = rows[x], rows[t], cols[x], cols[t]
     xbit, tbit = 1 << x, 1 << t
-
-    def image(mask: int) -> int:
-        return (mask | xbit) & ~tbit if mask & tbit else mask
-
+    xt = xbit | tbit
     label = state.vertices[x]
-    if rows[x] & tbit or rows[t] & xbit:
+    if rx & tbit or rt & xbit:
         raise InternalInvariantBreached(f"step map at {label}: an arrow collapses to a loop")
-    if (rows[x] & rows[t] | cols[x] & cols[t]) & ~(xbit | tbit):
+    if (rx & rt | cx & ct) & ~xt:
         raise InternalInvariantBreached(f"step map at {label}: two arrows share an image")
-    if not (rows[x] & xbit and rows[t] & tbit):
+    if not (rx & xbit and rt & tbit):
         raise InternalInvariantBreached(f"step map at {label}: a loop is missing")
     # conditions 1 and 3 at x: the arrows at x and t map exactly onto the
-    # old arrows at x
-    if image(rows[x] | rows[t]) != old_row or image(cols[x] | cols[t]) != old_col:
+    # old arrows at x; both masks hold both loops, so the image drops t
+    if (rx | rt) & ~tbit != old_row or (cx | ct) & ~tbit != old_col:
         raise InternalInvariantBreached(f"step map at {label}: arrows at the clasp not preserved")
-
-    def old_out(u: int) -> int:
-        if u == x:
-            return old_row
-        row = rows[u] & ~xbit & ~tbit
-        return row | xbit if (old_col >> u) & 1 else row
-
-    def closing(a: int, b: int) -> int:  # the old c for which (a, b, c) lifts
-        mask = 0
-        for p in (x, t) if a == x else (a,):
-            row_p = rows[p]
-            for q in (x, t) if b == x else (b,):
-                if (row_p >> q) & 1:
-                    mask |= row_p & rows[q]
-        return image(mask)
-
-    def no_lift(a: int, b: int, c: int) -> None:
-        names = ", ".join(state.vertices[v] for v in (a, b, c))
-        raise InternalInvariantBreached(f"step map at {label}: triple ({names}) has no lift")
-
     # each innermost slot is one mask of the old vertices that fail to lift,
-    # in the order (x, b, c), then per a: (a, x, c) and (a, b, x); b = x is
-    # skipped, since closing(x, x) is image(rows[x] | rows[t]), checked above
+    # in the order (x, b, c), then per a: (a, x, c) and (a, b, x).  By the
+    # checks above, every old neighbour of x other than x is a neighbour of
+    # exactly one of x and t, so one row or column closes its triples, and
+    # a mask holding t maps onto x.  b = x is skipped: (x, x, c) lifts to
+    # itself, since rows[x] | rows[t] maps onto old_row.
     for b in bits(old_row & ~xbit):
-        if bad := old_row & old_out(b) & ~closing(x, b):
-            no_lift(x, b, _low(bad))
+        row_b = rows[b]
+        closing = (rt if rt >> b & 1 else rx) & row_b
+        if closing & tbit:
+            closing = closing & ~tbit | xbit
+        out_b = row_b & ~xt | (old_col >> b & 1) << x
+        if bad := old_row & out_b & ~closing:
+            raise _no_lift(state, label, x, b, _low(bad))
     for a in bits(old_col):
-        row_a = old_out(a)
-        if bad := old_row & row_a & ~closing(a, x):
-            no_lift(a, x, _low(bad))
-        middles = 0  # the q with p -> q -> r and p -> r for lifts p of a, r of x
-        for p in (x, t) if a == x else (a,):
-            row_p = rows[p]
-            for r in (x, t):
-                if (row_p >> r) & 1:
-                    middles |= row_p & cols[r]
-        if bad := row_a & old_col & ~image(middles):
-            no_lift(a, _low(bad), x)
+        if a == x:
+            row_a, middles = old_row, rx & cx | rt & ct
+        else:
+            row_p = rows[a]
+            if row_p & xbit:
+                closing, middles = row_p & rx, row_p & cx
+            else:
+                closing, middles = row_p & rt, row_p & ct
+            if closing & tbit:
+                closing = closing & ~tbit | xbit
+            row_a = row_p & ~xt | xbit
+            if bad := old_row & row_a & ~closing:
+                raise _no_lift(state, label, a, x, _low(bad))
+        if middles & tbit:
+            middles = middles & ~tbit | xbit
+        if bad := row_a & old_col & ~middles:
+            raise _no_lift(state, label, a, _low(bad), x)
+
+
+def _no_lift(state: _SplitState, label: str, a: int, b: int, c: int) -> InternalInvariantBreached:
+    names = ", ".join(state.vertices[v] for v in (a, b, c))
+    return InternalInvariantBreached(f"step map at {label}: triple ({names}) has no lift")
 
 
 class _SplitState:

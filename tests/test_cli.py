@@ -179,6 +179,19 @@ class TestExpand:
         assert targets[2].read_text().startswith("digraph twoclasps {")
         assert [p.name for p in real.iterdir() if p.name.startswith(".")] == []
 
+    @pytest.mark.parametrize("flag", ["-o", "--trace", "--dot"])
+    def test_an_empty_output_path_is_an_i_o_error(self, capsys, files, tmp_path, monkeypatch, flag):
+        # realpath("") is the working directory, and mkstemp would create
+        # the temp file next to it, in its parent
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(capsys, "expand", files["ex"], flag, "")
+        assert code == 1 and out == ""
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert list(work.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
     def test_locked_graph(self, capsys, files):
         code, out, err = run_cli(capsys, "expand", files["lock"])
         assert code == 2 and out == ""

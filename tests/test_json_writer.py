@@ -1,9 +1,11 @@
-"""The CLI's indented JSON writer equals ``json.dumps(indent=2)`` byte for byte.
+"""The package's indented JSON writers equal ``json.dumps(indent=2)`` byte for byte.
 
-``cli._dumps`` writes ``check --json``, the expansion trace and the
-obstruction sets.  The payloads here have those shapes, with labels that
-need escaping, plus arbitrary nestings of the node types the writer
-handles itself and the ones it leaves to ``json.dumps``.
+``cli._dumps`` writes ``check --json`` and the obstruction sets.  The
+payloads here have those shapes and the trace's, with labels that need
+escaping, plus arbitrary nestings of the node types the writer handles
+itself and the ones it leaves to ``json.dumps``.  ``expansion._trace_text``
+writes the expansion trace straight from the records; it must equal
+``cli._dumps`` of ``ExpansionOutcome.to_json``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from splitclosure import cli
+from splitclosure import DiGraph, cli, emit_digraph, enumerate_reflexive, expand_to_preorder
+from splitclosure.expansion import _trace_text
+from test_expansion_oracle import layered_dags, stable_and_unlocked
 
 # any code point, lone surrogates included, with the characters JSON
 # must escape drawn often
@@ -120,3 +124,65 @@ def test_other_nodes_take_json_dumps_for_the_whole_payload(payload):
     with pytest.raises(TypeError):
         cli._indented(payload, "\n")
     assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+# -- the trace, written straight from the records ------------------------------
+
+
+def trace_texts(graph: DiGraph) -> tuple[str, str]:
+    """The trace text of the writer, and the dict tree's through ``_dumps``."""
+    outcome = expand_to_preorder(graph)
+    text = _trace_text(outcome, emit_digraph(outcome.result, "dg"))
+    return text, cli._dumps(outcome.to_json()) + "\n"
+
+
+# labels a graph accepts, built from characters JSON must escape or
+# writes as \u escapes
+vertex_labels = st.text(
+    st.sampled_from('ab"\\/\x00\x7f\xe9\U000103ff\U0001f600'), min_size=1, max_size=3
+)
+
+
+def relabeled(graph: DiGraph, labels) -> DiGraph:
+    new = dict(zip(graph.vertices, labels))
+    return DiGraph([new[v] for v in graph.vertices], {(new[a], new[b]) for a, b in graph.arrows})
+
+
+def test_trace_writer_on_the_empty_graph():
+    text, expected = trace_texts(DiGraph((), ()))
+    assert text == expected and '"iterations": []' in text and '"map": {}' in text
+
+
+def test_trace_writer_on_an_input_already_preordered(split4):
+    text, expected = trace_texts(split4)
+    assert text == expected and '"iterations": []' in text
+
+
+def test_trace_writer_on_labels_that_need_escaping(two_clasps):
+    graph = relabeled(two_clasps, ['"', "\\", "\xe9", "a\\\"", "\U0001f600", "/\x00"])
+    text, expected = trace_texts(graph)
+    assert text == expected
+    assert '"construction": "B"' in text and "\\ud83d\\ude00" in text
+
+
+def test_trace_writer_on_every_stable_unlocked_class_up_to_five():
+    unsplit, rules = 0, []
+    for n in range(1, 6):
+        for graph in enumerate_reflexive(n):
+            if stable_and_unlocked(graph):
+                text, expected = trace_texts(graph)
+                assert text == expected
+                iterations = json.loads(text)["iterations"]
+                unsplit += not iterations
+                rules += [record["construction"] for record in iterations]
+    assert unsplit and set(rules) == {"A", "B"}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layered_dags(), st.data())
+def test_trace_writer_on_relabeled_layered_dags(graph, data):
+    assume(stable_and_unlocked(graph))
+    n = len(graph.vertices)
+    labels = data.draw(st.lists(vertex_labels, min_size=n, max_size=n, unique=True))
+    text, expected = trace_texts(relabeled(graph, labels))
+    assert text == expected
