@@ -133,7 +133,10 @@ def verify_compression(cmap: CompressionMap) -> CompressionVerdict:
         reach[f[u]] |= images
     for a1, r1 in enumerate(t_rows):
         f1, unreached = fibers[a1], r1 & ~reach[a1]
-        for a2 in bits(r1):
+        probe = r1
+        while probe:
+            a2 = (probe & -probe).bit_length() - 1
+            probe &= probe - 1
             if a2 == a1:
                 bad = unreached
             else:

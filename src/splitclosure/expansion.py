@@ -221,23 +221,29 @@ def _clasp_context(graph: DiGraph, vertex: str) -> ClaspContext:
     cols = graph._cols
     labels = graph.vertices
     ibit = 1 << i
-    outs = rows[i] & ~ibit
     ins_any = cols[i]
-    head_mask = 0
-    for y in bits(outs):
+    # each mask is walked once, inline, and the labels listed on the way
+    heads, head_mask = [], 0
+    outs = rows[i] & ~ibit
+    while outs:
+        y = (outs & -outs).bit_length() - 1
         if ins_any & ~cols[y]:
             head_mask |= 1 << y
+            heads.append(labels[y])
+        outs &= outs - 1
     if not head_mask:
         raise InternalInvariantBreached(f"{vertex} is not a clasp")
-    tail_mask = 0
-    for a in bits(cols[i] & ~ibit):
+    tails = []
+    ins = ins_any & ~ibit
+    while ins:
+        a = (ins & -ins).bit_length() - 1
         if rows[a] & head_mask:
-            tail_mask |= 1 << a
-    return ClaspContext(
-        vertex,
-        tuple(labels[y] for y in bits(head_mask)),
-        tuple(labels[a] for a in bits(tail_mask)),
-    )
+            tails.append(labels[a])
+        ins &= ins - 1
+    return ClaspContext(vertex, tuple(heads), tuple(tails))
+
+
+_RULE_A = ConstructionChoice("A")
 
 
 def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> ConstructionChoice:
@@ -246,6 +252,9 @@ def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> Const
     Witnesses are chosen deterministically: least pivot head in vertex
     order, then least kept tail, then least detour tail.
     """
+    if not ctx.triple_tails:
+        # rule B needs a kept tail and a detour tail
+        return _RULE_A
     cols = graph._cols
     tail_mask = _label_mask(graph, ctx.triple_tails)
     labels = graph.vertices
@@ -260,7 +269,7 @@ def select_construction(graph: DiGraph, vertex: str, ctx: ClaspContext) -> Const
                 kept_tail=labels[_low(kept)],
                 pivot_head=y_label,
             )
-    return ConstructionChoice("A")
+    return _RULE_A
 
 
 def construction_a(
@@ -285,15 +294,20 @@ def construction_a(
     cols = graph._cols
     labels = graph.vertices
     head_mask = _label_mask(graph, ctx.witness_heads)
-    moved = 0
-    for b in bits(rows[i] & ~(1 << i)):
+    moved, heads = 0, []
+    outs = rows[i] & ~(1 << i)
+    while outs:
+        b = (outs & -outs).bit_length() - 1
         # (vertex, b, y): b -> y for a witness head, or (vertex, y, b): y -> b.
         if rows[b] & head_mask or cols[b] & head_mask:
             moved |= 1 << b
+            heads.append(labels[b])
+        outs &= outs - 1
     if head_mask & ~moved:
         raise InternalInvariantBreached("witness heads escaped the moved set")
-    heads = tuple(labels[b] for b in bits(moved))
-    return IterationRecord(index, vertex, ctx, choice, None, ctx.triple_tails, heads, new_vertex)
+    return IterationRecord(
+        index, vertex, ctx, choice, None, ctx.triple_tails, tuple(heads), new_vertex
+    )
 
 
 def construction_b(
@@ -513,7 +527,8 @@ def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:
     failed re-check along the way, raises InternalInvariantBreached.
     """
     state = _SplitState(graph, _check_preconditions(graph))
-    cap = len(graph.vertices) + 2 * graph.arrow_count(include_loops=False)
+    arrows = graph.arrow_count(include_loops=False)
+    cap = len(graph.vertices) + 2 * arrows
     trace: list[IterationRecord] = []
     while state.clasp_mask:
         if len(trace) >= cap:
@@ -529,6 +544,6 @@ def expand_to_preorder(graph: DiGraph) -> ExpansionOutcome:
     verdict = verify_compression(composite)
     if not verdict.valid:
         raise InternalInvariantBreached(f"composite map invalid: {verdict.describe()}")
-    if result.arrow_count(include_loops=False) != graph.arrow_count(include_loops=False):
+    if result.arrow_count(include_loops=False) != arrows:
         raise InternalInvariantBreached("non-loop arrow count changed")
     return ExpansionOutcome(result, composite, tuple(trace))

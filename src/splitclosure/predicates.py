@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import DiGraph, _Heads, _low, bits
+from .digraph import DiGraph, _Heads, _bit_list, _low, bits
 from .errors import NotReflexive
 
 
@@ -153,46 +153,58 @@ def _stable_witness_at(graph: DiGraph, p: int) -> Optional[StableWitness]:
     # so those choices give an empty mask and the first witness is the same
     pbit = 1 << p
     outs, ins = rp & ~pbit, cp & ~pbit
-    for x in bits(outs):  # w = p
+    # p's non-loop heads and tails, listed once for all eight slots.  A
+    # slot that walks both is empty when p has no heads; each inner mask
+    # is tested for zero first, since on sparse graphs most of them are
+    heads, tails = _bit_list(outs), _bit_list(ins)
+    for x in heads:  # w = p
         rx = rows[x]
-        for y in bits(rx & ~(1 << x)):
-            if bad := rows[y] & rp & (~rx if (rp >> y) & 1 else rx):
-                return found("balance", p, x, y, _low(bad))
-    for w in bits(ins):  # x = p
-        rw = rows[w]
-        for y in bits(outs):
-            if bad := rows[y] & rw & (~rp if (rw >> y) & 1 else rp):
-                return found("balance", w, p, y, _low(bad))
-    for x in bits(ins):  # y = p
-        rx, cx = rows[x], cols[x]
-        for z in bits(outs):
-            if bad := cx & cols[z] & (~cp if (rx >> z) & 1 else cp):
-                return found("balance", _low(bad), x, p, z)
-    for y in bits(ins):  # z = p
+        if ys := rx & ~(1 << x):
+            for y in _bit_list(ys):
+                if bad := rows[y] & rp & (~rx if (rp >> y) & 1 else rx):
+                    return found("balance", p, x, y, _low(bad))
+    if heads:
+        for w in tails:  # x = p
+            rw = rows[w]
+            for y in heads:
+                if bad := rows[y] & rw & (~rp if (rw >> y) & 1 else rp):
+                    return found("balance", w, p, y, _low(bad))
+        for x in tails:  # y = p
+            rx, cx = rows[x], cols[x]
+            for z in heads:
+                if bad := cx & cols[z] & (~cp if (rx >> z) & 1 else cp):
+                    return found("balance", _low(bad), x, p, z)
+    for y in tails:  # z = p
         cy = cols[y]
-        for x in bits(cy & ~(1 << y)):
-            if bad := cols[x] & cp & (~cy if (cp >> x) & 1 else cy):
-                return found("balance", _low(bad), x, y, p)
+        if xs := cy & ~(1 << y):
+            for x in _bit_list(xs):
+                if bad := cols[x] & cp & (~cy if (cp >> x) & 1 else cy):
+                    return found("balance", _low(bad), x, y, p)
 
     # stability: distinct a, b, c, d with ab, ac, bc, bd, cd force ad; a
     # mask of "a's row missing" already excludes a and every vertex a
     # points at, which is how distinctness is kept below
-    for b in bits(outs):  # a = p
-        for c in bits(outs & rows[b] & ~(1 << b)):
-            if dmask := rows[b] & rows[c] & ~rp:
-                return found("stability", p, b, c, _low(dmask))
-    for a in bits(ins):  # b = p
-        for c in bits(rows[a] & outs & ~(1 << a)):
-            if dmask := rp & rows[c] & ~rows[a]:
-                return found("stability", a, p, c, _low(dmask))
-    for a in bits(ins):  # c = p
-        for b in bits(rows[a] & ins & ~(1 << a)):
-            if dmask := rows[b] & rp & ~rows[a]:
-                return found("stability", a, b, p, _low(dmask))
-    for b in bits(ins):  # d = p
-        for c in bits(ins & rows[b] & ~(1 << b)):
-            if amask := cols[b] & cols[c] & ~cp:
-                return found("stability", _low(amask), b, c, p)
+    for b in heads:  # a = p
+        if cs := outs & rows[b] & ~(1 << b):
+            for c in _bit_list(cs):
+                if dmask := rows[b] & rows[c] & ~rp:
+                    return found("stability", p, b, c, _low(dmask))
+    if heads:
+        for a in tails:  # b = p
+            if cs := rows[a] & outs & ~(1 << a):
+                for c in _bit_list(cs):
+                    if dmask := rp & rows[c] & ~rows[a]:
+                        return found("stability", a, p, c, _low(dmask))
+    for a in tails:  # c = p
+        if bs := rows[a] & ins & ~(1 << a):
+            for b in _bit_list(bs):
+                if dmask := rows[b] & rp & ~rows[a]:
+                    return found("stability", a, b, p, _low(dmask))
+    for b in tails:  # d = p
+        if cs := ins & rows[b] & ~(1 << b):
+            for c in _bit_list(cs):
+                if amask := cols[b] & cols[c] & ~cp:
+                    return found("stability", _low(amask), b, c, p)
     return None
 
 
@@ -231,11 +243,13 @@ def _clasp_witness(graph: DiGraph, i: int) -> Optional[tuple[str, str]]:
     ibit = 1 << i
     ins = graph._cols[i] & ~ibit
     outs = rows[i] & ~ibit
-    if not ins or not outs:
+    if not outs:
         return None
-    for w in bits(ins):
+    while ins:
+        w = (ins & -ins).bit_length() - 1
         if missing := outs & ~rows[w]:
             return graph.vertices[w], graph.vertices[_low(missing)]
+        ins &= ins - 1
     return None
 
 
@@ -247,12 +261,23 @@ def _lock_witness(graph: DiGraph, i: int) -> Optional[LockWitness]:
     ibit = 1 << i
     ins = cols[i] & ~ibit
     outs = rows[i] & ~ibit
-    for u in bits(ins):
+    # walked inline, not through ``bits``: the entry scan runs this at
+    # every clasp, and each split at every clasp next to x and t
+    us = ins
+    while us:
+        u = (us & -us).bit_length() - 1
         heads = outs & rows[u]  # y or v candidates: (u, x, *) is a transitive triple
-        for v in bits(heads):
-            for w in bits(ins & cols[v]):
+        vs = heads
+        while vs:
+            v = (vs & -vs).bit_length() - 1
+            ws = ins & cols[v]
+            while ws:
+                w = (ws & -ws).bit_length() - 1
                 if broken := heads & ~rows[w]:
                     return LockWitness(labels[u], labels[v], labels[w], labels[_low(broken)])
+                ws &= ws - 1
+            vs &= vs - 1
+        us &= us - 1
     return None
 
 

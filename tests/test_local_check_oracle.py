@@ -168,6 +168,25 @@ def random_graph(rng: random.Random) -> DiGraph:
     return random_split(rng)[0]
 
 
+def layered_graph(rng: random.Random) -> DiGraph:
+    """A reflexive 3-layer graph on 60 to 200 vertices, so that its masks
+    span several machine words.  Most arrows run from one layer to the
+    next; a few skip a layer, and a few run within or against the layers,
+    which is what makes witnesses.  The outer layers hold many vertices
+    with no non-loop tail or no non-loop head."""
+    n = rng.randint(60, 200)
+    layer = [3 * i // n for i in range(n)]
+    rows = []
+    for u in range(n):
+        row = 0
+        for v in range(n):
+            step = layer[v] - layer[u]
+            if u != v and rng.random() < (0.1 if step == 1 else 0.02 if step == 2 else 0.002):
+                row |= 1 << v
+        rows.append(row)
+    return reflexive_graph(rows)
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -217,3 +236,18 @@ class TestStableWitnessAt:
         assert kinds == {None, "balance", "stability"}
         # only w = x, x = y and y = z are skipped; these repeats can fail
         assert repeats == {"w = y", "w = z", "x = z"}
+
+    def test_same_witness_on_layered_graphs_at_scale(self):
+        rng = random.Random(5)
+        kinds = set()
+        sinks = sources = 0  # vertices with no non-loop head, or tail
+        for _ in range(10):
+            graph = layered_graph(rng)
+            for p in range(len(graph.vertices)):
+                witness = _stable_witness_at(graph, p)
+                assert witness == reference_stable_witness_at(graph, p)
+                kinds.add(witness and witness.kind)
+                sinks += graph._rows[p] == 1 << p
+                sources += graph._cols[p] == 1 << p
+        assert sinks and sources
+        assert kinds == {None, "balance", "stability"}
